@@ -41,7 +41,7 @@ ctest --preset concurrency-tsan -j"$(nproc)" "$@"
 
 cmake --preset default
 cmake --build --preset default -j"$(nproc)" \
-  --target test_perf test_cert_pipeline test_stack_fingerprint \
+  --target test_perf test_cert_pipeline test_stack_fingerprint test_fold_identity \
   bench_perf_pipeline bench_cert_pipeline \
   iotls_probe bench_obs_overhead bench_fleet_snapshot iotlsd iotls_audit
 ctest --preset default -L perf --output-on-failure

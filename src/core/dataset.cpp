@@ -1,13 +1,16 @@
 #include "core/dataset.hpp"
 
+#include <bit>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "exec/pool.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tls/record.hpp"
+#include "tls/clienthello.hpp"
 #include "util/error.hpp"
 
 namespace iotls::core {
@@ -60,7 +63,78 @@ struct ClientDataset::Views {
   std::map<std::string, std::string> device_type;
 };
 
-ClientDataset::ClientDataset() : views_(std::make_unique<Views>()) {}
+/// The device table of the last `devices` argument: an open-addressing map
+/// from id hash to row, and each row's interned ids once the row has had a
+/// folded event. Every hit is checked against the row's current id, so the
+/// table holds no strings and a stale entry can only miss.
+struct ClientDataset::DeviceTable {
+  struct Slot {
+    std::uint32_t tag = 0;                // high half of the id hash
+    std::uint32_t row = Interner::kNone;  // kNone: empty
+  };
+  const devicesim::Device* data = nullptr;
+  std::size_t size = 0;
+  std::vector<Slot> slots;     // power-of-two size, at most half full
+  std::vector<DeviceIds> ids;  // ids[row].device == kNone until resolved
+
+  static std::uint64_t hash(std::string_view id) {
+    return std::hash<std::string_view>{}(id);
+  }
+
+  void rebuild(const std::vector<devicesim::Device>& devices) {
+    data = devices.data();
+    size = devices.size();
+    slots.assign(std::bit_ceil(2 * devices.size() + 1), Slot{});
+    const std::size_t mask = slots.size() - 1;
+    for (std::uint32_t row = 0; row < devices.size(); ++row) {
+      const std::string& id = devices[row].id;
+      std::uint64_t h = hash(id);
+      auto tag = static_cast<std::uint32_t>(h >> 32);
+      std::size_t i = h & mask;
+      // First row wins: a repeated id finds its earlier row and is skipped.
+      while (slots[i].row != Interner::kNone &&
+             !(slots[i].tag == tag && devices[slots[i].row].id == id)) {
+        i = (i + 1) & mask;
+      }
+      if (slots[i].row == Interner::kNone) slots[i] = {tag, row};
+    }
+    ids.assign(devices.size(), DeviceIds{});
+  }
+
+  /// Rebuild unless the table was built from `devices` (same data pointer
+  /// and size); true when it rebuilt.
+  bool bind(const std::vector<devicesim::Device>& devices) {
+    if (data == devices.data() && size == devices.size() && !slots.empty()) return false;
+    rebuild(devices);
+    return true;
+  }
+
+  std::uint32_t lookup(std::string_view id,
+                       const std::vector<devicesim::Device>& devices) const {
+    const std::size_t mask = slots.size() - 1;
+    std::uint64_t h = hash(id);
+    auto tag = static_cast<std::uint32_t>(h >> 32);
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots[i];
+      if (slot.row == Interner::kNone) return Interner::kNone;
+      if (slot.tag == tag && devices[slot.row].id == id) return slot.row;
+    }
+  }
+
+  /// Row of `id` in `devices`, or kNone. A miss rebuilds the table and
+  /// retries unless `fresh` (already rebuilt during this call); sets `fresh`.
+  std::uint32_t find(std::string_view id, const std::vector<devicesim::Device>& devices,
+                     bool& fresh) {
+    std::uint32_t row = lookup(id, devices);
+    if (row != Interner::kNone || fresh) return row;
+    rebuild(devices);
+    fresh = true;
+    return lookup(id, devices);
+  }
+};
+
+ClientDataset::ClientDataset()
+    : devices_(std::make_unique<DeviceTable>()), views_(std::make_unique<Views>()) {}
 ClientDataset::~ClientDataset() = default;
 ClientDataset::ClientDataset(ClientDataset&&) noexcept = default;
 ClientDataset& ClientDataset::operator=(ClientDataset&&) noexcept = default;
@@ -126,61 +200,42 @@ const std::map<std::string, std::string>& ClientDataset::device_type() const {
 
 namespace {
 
-// Per-event outcome of the (parallelizable) parse phase. Index maps,
-// counters and logs are folded sequentially afterwards, in input order,
-// so jobs=N builds the exact dataset jobs=1 does.
-struct ParseOutcome {
-  enum class Kind { kOk, kUnknownDevice, kNoClientHello, kParseError };
+/// Parse outcome of one distinct wire. Only the sequential fold writes the
+/// interned ids, at the wire's first folded event, so first-seen order is
+/// the event order at any `jobs`.
+struct WireParse {
+  enum class Kind { kOk, kNoClientHello, kParseError };
   Kind kind = Kind::kParseError;
-  ParsedEvent ev;  // filled only when kind == kOk
+  tls::ClientHello hello;  // kept only when events are retained
+  std::optional<std::string> sni;
+  tls::Fingerprint fp;
+  std::string fp_key;
+  std::uint32_t fp_ix = Interner::kNone;
+  std::uint32_t sni_ix = Interner::kNone;  // interned with fp_ix iff `sni` is set
 };
 
-using DeviceLookup = std::unordered_map<std::string_view, const devicesim::Device*>;
-
-ParseOutcome parse_one(const devicesim::ClientHelloEvent& raw,
-                       const DeviceLookup& devices,
-                       const tls::FingerprintOptions& opts) {
-  ParseOutcome out;
-  auto dev_it = devices.find(std::string_view(raw.device_id));
-  if (dev_it == devices.end()) {
-    out.kind = ParseOutcome::Kind::kUnknownDevice;
-    return out;
-  }
-  ParsedEvent ev;
+void parse_wire(BytesView wire, const tls::FingerprintOptions& opts,
+                bool keep_hello, WireParse& out) {
+  std::optional<tls::ClientHello> hello;
   try {
-    auto records = tls::parse_records(BytesView(raw.wire.data(), raw.wire.size()));
-    Bytes payload = tls::handshake_payload(records);
-    auto msgs = tls::split_handshakes(BytesView(payload.data(), payload.size()));
-    bool found = false;
-    for (const tls::HandshakeMessage& m : msgs) {
-      if (m.type != tls::HandshakeType::kClientHello) continue;
-      Bytes framed =
-          tls::encode_handshake(m.type, BytesView(m.body.data(), m.body.size()));
-      ev.hello = tls::ClientHello::parse(BytesView(framed.data(), framed.size()));
-      found = true;
-      break;
-    }
-    if (!found) {
-      out.kind = ParseOutcome::Kind::kNoClientHello;
-      return out;
-    }
+    hello = tls::first_client_hello(wire);
   } catch (const ParseError&) {
-    out.kind = ParseOutcome::Kind::kParseError;
-    return out;
+    out.kind = WireParse::Kind::kParseError;
+    return;
   }
+  if (!hello.has_value()) {
+    out.kind = WireParse::Kind::kNoClientHello;
+    return;
+  }
+  out.sni = hello->sni();
+  out.fp = tls::fingerprint_of(*hello, opts);
+  out.fp_key = out.fp.key();
+  if (keep_hello) out.hello = std::move(*hello);
+  out.kind = WireParse::Kind::kOk;
+}
 
-  const devicesim::Device& device = *dev_it->second;
-  ev.device_id = device.id;
-  ev.vendor = device.vendor;
-  ev.type = device.type;
-  ev.user = device.user_id;
-  ev.day = raw.day;
-  ev.sni = ev.hello.sni().value_or(raw.sni);
-  ev.fp = tls::fingerprint_of(ev.hello, opts);
-  ev.fp_key = ev.fp.key();
-  out.kind = ParseOutcome::Kind::kOk;
-  out.ev = std::move(ev);
-  return out;
+std::string_view wire_key(const Bytes& wire) {
+  return {reinterpret_cast<const char*>(wire.data()), wire.size()};
 }
 
 }  // namespace
@@ -202,6 +257,8 @@ void ClientDataset::append_events(
     const tls::FingerprintOptions& opts, int jobs) {
   static obs::Counter& parsed_counter =
       obs::metrics().counter("core.dataset.events_parsed");
+  static obs::Counter& wires_counter =
+      obs::metrics().counter("core.dataset.wires_parsed");
   static obs::Counter& drop_unknown_device =
       obs::metrics().counter("core.dataset.events_dropped.unknown_device");
   static obs::Counter& drop_no_hello =
@@ -210,18 +267,36 @@ void ClientDataset::append_events(
       obs::metrics().counter("core.dataset.events_dropped.parse_error");
   auto span = obs::tracer().span("fingerprint.extract");
 
-  DeviceLookup devices;
-  devices.reserve(fleet_devices.size());
-  for (const devicesim::Device& d : fleet_devices) devices[d.id] = &d;
+  // Phase 1 (sequential): resolve each event's device row, and number the
+  // distinct wires of known devices' events. The map views the caller's
+  // bytes and dies with this call.
+  constexpr std::uint32_t kNone = Interner::kNone;
+  bool fresh = devices_->bind(fleet_devices);
+  std::vector<std::uint32_t> row_of(raw_events.size());
+  std::vector<std::uint32_t> wire_of(raw_events.size(), kNone);
+  std::vector<BytesView> wires;
+  {
+    std::unordered_map<std::string_view, std::uint32_t> wire_ids;
+    for (std::size_t i = 0; i < raw_events.size(); ++i) {
+      const devicesim::ClientHelloEvent& raw = raw_events[i];
+      row_of[i] = devices_->find(raw.device_id, fleet_devices, fresh);
+      if (row_of[i] == kNone) continue;
+      auto [it, added] = wire_ids.try_emplace(
+          wire_key(raw.wire), static_cast<std::uint32_t>(wires.size()));
+      if (added) wires.emplace_back(raw.wire.data(), raw.wire.size());
+      wire_of[i] = it->second;
+    }
+  }
 
-  // Phase 1 (parallel): pure per-event parse into index-addressed slots.
-  std::vector<ParseOutcome> outcomes(raw_events.size());
-  exec::parallel_for(jobs, raw_events.size(), [&](std::size_t i) {
-    outcomes[i] = parse_one(raw_events[i], devices, opts);
+  // Phase 2 (parallel): parse and fingerprint each distinct wire once.
+  std::vector<WireParse> parsed(wires.size());
+  exec::parallel_for(jobs, wires.size(), [&](std::size_t w) {
+    parse_wire(wires[w], opts, retain_events_, parsed[w]);
   });
+  wires_counter.inc(wires.size());
 
-  // Phase 2 (sequential, input order): counters, logs, span tallies and
-  // the interned cross-index.
+  // Phase 3 (sequential, input order): drop accounting per event, interning
+  // at first sight, and the id-level fold.
   auto drop = [&](std::size_t& reason_count, obs::Counter& counter,
                   const char* reason, const devicesim::ClientHelloEvent& raw) {
     ++reason_count;
@@ -234,28 +309,59 @@ void ClientDataset::append_events(
     }
   };
 
+  std::uint64_t folded = 0;
   for (std::size_t i = 0; i < raw_events.size(); ++i) {
     const devicesim::ClientHelloEvent& raw = raw_events[i];
-    ParseOutcome& outcome = outcomes[i];
-    switch (outcome.kind) {
-      case ParseOutcome::Kind::kUnknownDevice:
-        drop(dropped_.unknown_device, drop_unknown_device, "unknown_device", raw);
-        continue;
-      case ParseOutcome::Kind::kNoClientHello:
-        drop(dropped_.no_client_hello, drop_no_hello, "no_client_hello", raw);
-        continue;
-      case ParseOutcome::Kind::kParseError:
-        drop(dropped_.parse_error, drop_parse_error, "parse_error", raw);
-        continue;
-      case ParseOutcome::Kind::kOk:
-        break;
+    if (row_of[i] == kNone) {
+      drop(dropped_.unknown_device, drop_unknown_device, "unknown_device", raw);
+      continue;
     }
-    ParsedEvent& ev = outcome.ev;
-    index_.record(ev);
-    if (retain_events_) events_.push_back(std::move(ev));
-    parsed_counter.inc();
-    span.add_items();
+    WireParse& wire = parsed[wire_of[i]];
+    if (wire.kind == WireParse::Kind::kNoClientHello) {
+      drop(dropped_.no_client_hello, drop_no_hello, "no_client_hello", raw);
+      continue;
+    }
+    if (wire.kind == WireParse::Kind::kParseError) {
+      drop(dropped_.parse_error, drop_parse_error, "parse_error", raw);
+      continue;
+    }
+
+    const devicesim::Device& device = fleet_devices[row_of[i]];
+    DeviceIds& ids = devices_->ids[row_of[i]];
+    if (ids.device == kNone) {
+      ids = index_.intern_device(device.id, device.vendor, device.type,
+                                 device.user_id);
+    }
+    if (wire.fp_ix == kNone) {
+      wire.fp_ix = index_.intern_fp(wire.fp_key, wire.fp);
+      if (wire.sni.has_value()) wire.sni_ix = index_.intern_sni(*wire.sni);
+    }
+    const std::string& sni = wire.sni.has_value() ? *wire.sni : raw.sni;
+    std::uint32_t sni_ix =
+        wire.sni.has_value() ? wire.sni_ix : index_.intern_sni(raw.sni);
+    index_.record(ids, sni_ix, wire.fp_ix);
+    ++folded;
+
+    if (!retain_events_) continue;
+    ParsedEvent& ev = events_.emplace_back();
+    ev.device_id = device.id;
+    ev.vendor = device.vendor;
+    ev.type = device.type;
+    ev.user = device.user_id;
+    ev.day = raw.day;
+    ev.sni = sni;
+    ev.hello = wire.hello;
+    ev.fp = wire.fp;
+    ev.fp_key = wire.fp_key;
+    ev.device_ix = ids.device;
+    ev.vendor_ix = ids.vendor;
+    ev.type_ix = ids.type;
+    ev.user_ix = ids.user;
+    ev.sni_ix = sni_ix;
+    ev.fp_ix = wire.fp_ix;
   }
+  parsed_counter.inc(folded);
+  span.add_items(folded);
 }
 
 void ClientDataset::finalize() {

@@ -2,8 +2,9 @@
 //
 // This is the paper's analysis input (§4): every event's ClientHello is
 // parsed from capture bytes, fingerprinted, and joined with the device's
-// user label. All §4 analyses run off the interned DatasetIndex built here;
-// the string-keyed map accessors survive as lazily-materialized
+// user label. Each distinct wire of an epoch is parsed once, however many
+// events carry it. All §4 analyses run off the interned DatasetIndex built
+// here; the string-keyed map accessors survive as lazily-materialized
 // compatibility views whose contents are byte-identical to the seed's
 // eagerly-built maps.
 #pragma once
@@ -72,17 +73,28 @@ class ClientDataset {
                                   int jobs = 1);
 
   /// Incremental ingest: parse `events` (devices resolved against `devices`)
-  /// and fold them into the dataset after whatever is already there. Parsing
-  /// runs on `jobs` workers; the fold is sequential in arrival order, so any
-  /// epoch split of one event stream builds the same dataset as a single
-  /// batch call over the concatenation, bit for bit. Call finalize() before
-  /// reading the index or the views.
+  /// and fold them into the dataset after whatever is already there.
+  ///
+  /// The call deduplicates the epoch's wire bytes and parses each distinct
+  /// wire once, on `jobs` workers; an undecodable wire still drops (and
+  /// counts) every event that carries it. The fold is sequential in arrival
+  /// order and works on interned ids, so any epoch split of one event
+  /// stream builds the same dataset as a single batch call over the
+  /// concatenation, bit for bit. No wire state outlives the call, so memory
+  /// does not grow with the number of distinct wires ever seen.
+  ///
+  /// Device ids resolve through a table kept across calls and rebuilt only
+  /// when `devices` is a different vector (data pointer or size) or on the
+  /// first miss of a call; a hit is always checked against the row's id. A
+  /// repeated id resolves to its first row, as FleetDataset::find_device
+  /// does. Rewriting a device's vendor, type or user in place between calls
+  /// is not detected. Call finalize() before reading the index or the views.
   void append_events(const std::vector<devicesim::ClientHelloEvent>& events,
                      const std::vector<devicesim::Device>& devices,
                      const tls::FingerprintOptions& opts = {}, int jobs = 1);
 
-  /// Re-finalize the index after append_events (O(appended delta + id
-  /// universe)) and invalidate the lazy string-keyed views.
+  /// Re-finalize the index after append_events (see DatasetIndex::finalize
+  /// for its cost) and invalidate the lazy string-keyed views.
   void finalize();
 
   /// When false, append_events folds every parsed event into the index but
@@ -133,7 +145,9 @@ class ClientDataset {
 
  private:
   struct Views;
+  struct DeviceTable;
 
+  std::unique_ptr<DeviceTable> devices_;
   std::vector<ParsedEvent> events_;
   DropCounts dropped_;
   DatasetIndex index_;

@@ -3,13 +3,17 @@
 // Replaces the seed's twelve map<string, set<string>> indexes with posting
 // lists (sorted vector<uint32_t>) over dense interned ids, plus per-vendor
 // bitsets over the fingerprint domain for the Table 4 Jaccard analysis.
-// Built in the sequential fold of ClientDataset::from_fleet (event order),
-// so ids and posting lists are bit-identical at every --jobs level. The
-// string-keyed map views the report layer consumes are materialized lazily
-// from this index and match the seed maps byte for byte.
+// Built in the sequential fold of ClientDataset::append_events (event
+// order), so ids and posting lists are bit-identical at every --jobs level.
+// The fold works on ids only: strings are interned when a device or a
+// fingerprint is first folded, never per event. The string-keyed map views
+// the report layer consumes are materialized lazily from this index and
+// match the seed maps byte for byte.
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/interner.hpp"
@@ -17,7 +21,13 @@
 
 namespace iotls::core {
 
-struct ParsedEvent;
+/// A device's interned ids: its own and its vendor/type/user attributes.
+struct DeviceIds {
+  std::uint32_t device = Interner::kNone;
+  std::uint32_t vendor = Interner::kNone;
+  std::uint32_t type = Interner::kNone;
+  std::uint32_t user = Interner::kNone;
+};
 
 class DatasetIndex {
  public:
@@ -56,47 +66,80 @@ class DatasetIndex {
     return device_type_[device];
   }
 
-  /// Per-vendor bitset over the fingerprint id domain (built at finalize).
+  /// Per-vendor bitset over the fingerprint id domain (kept by finalize).
   /// vendor_similarities computes |A ∩ B| as one AND+popcount pass.
   const Bitset& vendor_fp_bits(std::uint32_t vendor) const {
     return vendor_fp_bits_[vendor];
   }
 
   // Lexicographic id permutations (the seed's std::map iteration orders,
-  // which report row ordering depends on). Computed once at finalize.
-  const std::vector<std::uint32_t>& vendors_by_name() const { return vendors_by_name_; }
-  const std::vector<std::uint32_t>& devices_by_name() const { return devices_by_name_; }
-  const std::vector<std::uint32_t>& snis_by_name() const { return snis_by_name_; }
-  const std::vector<std::uint32_t>& fps_by_key() const { return fps_by_key_; }
+  // which report row ordering depends on). Maintained by finalize().
+  const std::vector<std::uint32_t>& vendors_by_name() const { return vendors_by_name_.ids; }
+  const std::vector<std::uint32_t>& devices_by_name() const { return devices_by_name_.ids; }
+  const std::vector<std::uint32_t>& snis_by_name() const { return snis_by_name_.ids; }
+  const std::vector<std::uint32_t>& fps_by_key() const { return fps_by_key_.ids; }
 
   /// Size hints from the raw fleet (satellite: reserve before the fold).
   void reserve(std::size_t expected_devices, std::size_t expected_events);
 
-  /// Intern one parsed event (sequential fold, input order). Fills the
-  /// event's *_ix fields and appends to the posting lists.
-  void record(ParsedEvent& ev);
+  // Interning for the sequential fold. Each domain assigns ids in
+  // first-call order, so callers intern at the first folded event that
+  // carries a string; repeat calls return the existing id.
 
-  /// Sort/unique the posting lists, build the vendor bitsets and the
+  /// Intern a device and its attributes; the device's vendor and type
+  /// become those given here.
+  DeviceIds intern_device(std::string_view id, std::string_view vendor,
+                          std::string_view type, std::string_view user);
+  std::uint32_t intern_sni(std::string_view sni) { return snis_.intern(sni); }
+  /// Intern a fingerprint by key, keeping its value on first sight.
+  std::uint32_t intern_fp(std::string_view key, const tls::Fingerprint& fp);
+
+  /// Fold one event, given as interned ids (sequential fold, input order):
+  /// appends to the posting lists.
+  void record(const DeviceIds& device, std::uint32_t sni, std::uint32_t fp);
+
+  /// Sort/unique the posting lists, update the vendor bitsets and the
   /// lexicographic permutations. Callable repeatedly: the streaming ingest
-  /// records an epoch of events and re-finalizes, and only rows touched
-  /// since the previous finalize are re-sorted (the dirty sets below), so
-  /// an epoch fold costs O(epoch delta + id universe), not O(history).
-  /// Appending the same event stream under any epoch split yields indexes
-  /// byte-identical to one batch fold over the concatenation.
+  /// records an epoch of events and re-finalizes. Only rows appended to
+  /// since the previous finalize are touched: each sorts its appended tail
+  /// and merges it into its sorted prefix. The permutations merge in the
+  /// newly interned ids; a vendor's bitset takes its new fingerprints, and
+  /// all bitsets are refilled only when the fingerprint universe grew. An
+  /// epoch therefore costs O(epoch delta) plus linear merges over the rows
+  /// and permutations it extends, never a re-sort of history. Appending the
+  /// same event stream under any epoch split yields indexes byte-identical
+  /// to one batch fold over the concatenation.
   void finalize();
 
  private:
-  /// Rows of one relation appended to since the last finalize().
+  /// Rows of one relation appended to since the last finalize(), each with
+  /// the length of its sorted-unique prefix when it was first appended to.
   struct DirtyRows {
     std::vector<std::uint32_t> rows;
-    std::vector<std::uint8_t> noted;  // row id -> already in `rows`
+    std::vector<std::uint32_t> sorted;  // parallel to `rows`
+    std::vector<std::uint8_t> noted;    // row id -> already in `rows`
 
-    void note(std::uint32_t row);
+    void note(std::uint32_t row, std::size_t sorted_len);
     void clear();
   };
 
   void append(std::vector<PostingList>& lists, DirtyRows& dirty,
               std::uint32_t row, std::uint32_t id);
+
+  /// A lexicographic id permutation, with each entry's first 16 bytes kept
+  /// beside it (zero-padded, big-endian words), so merging new ids in
+  /// compares contiguous keys and reads a string only on a 16-byte tie.
+  struct ByName {
+    struct Head {
+      std::uint64_t hi = 0, lo = 0;
+      friend auto operator<=>(const Head&, const Head&) = default;
+    };
+    std::vector<std::uint32_t> ids;
+    std::vector<Head> heads;  // parallel to `ids`
+
+    /// Merge in the ids `names` interned since the last call.
+    void extend(const Interner& names);
+  };
 
   Interner vendors_, devices_, types_, users_, snis_, fps_;
   std::vector<tls::Fingerprint> fp_values_;
@@ -112,8 +155,7 @@ class DatasetIndex {
       dirty_sni_users_;
 
   std::vector<Bitset> vendor_fp_bits_;
-  std::vector<std::uint32_t> vendors_by_name_, devices_by_name_, snis_by_name_,
-      fps_by_key_;
+  ByName vendors_by_name_, devices_by_name_, snis_by_name_, fps_by_key_;
 };
 
 }  // namespace iotls::core

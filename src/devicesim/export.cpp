@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <unordered_set>
 
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
@@ -36,15 +37,10 @@ T parse_int_field(std::string_view s, const char* what) {
 
 /// Parse an event's wire bytes down to its ClientHello.
 tls::ClientHello hello_of(const ClientHelloEvent& event) {
-  auto records = tls::parse_records(BytesView(event.wire.data(), event.wire.size()));
-  Bytes payload = tls::handshake_payload(records);
-  auto msgs = tls::split_handshakes(BytesView(payload.data(), payload.size()));
-  for (const auto& m : msgs) {
-    if (m.type != tls::HandshakeType::kClientHello) continue;
-    Bytes framed = tls::encode_handshake(m.type, BytesView(m.body.data(), m.body.size()));
-    return tls::ClientHello::parse(BytesView(framed.data(), framed.size()));
-  }
-  throw ParseError("event carries no ClientHello");
+  std::optional<tls::ClientHello> hello =
+      tls::first_client_hello(BytesView(event.wire.data(), event.wire.size()));
+  if (!hello.has_value()) throw ParseError("event carries no ClientHello");
+  return std::move(*hello);
 }
 
 /// Rebuild a ClientHello carrying exactly the fingerprint's fields
@@ -130,6 +126,11 @@ std::vector<Device> parse_devices_csv(const std::string& devices_csv) {
   for (char c : text)
     if (c == '\n') ++n_lines;
   devices.reserve(n_lines);  // header over-counts by one; close enough
+  // A repeated id would be attributed to one row by some lookups and to
+  // another by others; reject it. Keys view the input text, which outlives
+  // the loop.
+  std::unordered_set<std::string_view> ids;
+  ids.reserve(n_lines);
   bool saw_header = false;
   for (std::size_t start = 0; start <= text.size();) {
     std::size_t pos = text.find('\n', start);
@@ -149,6 +150,8 @@ std::vector<Device> parse_devices_csv(const std::string& devices_csv) {
     std::array<std::string_view, 4> cols;
     if (split_views(line, ',', cols) != 4)
       throw ParseError("devices CSV: bad row: " + std::string(line));
+    if (!ids.insert(cols[0]).second)
+      throw ParseError("devices CSV: duplicate device id: " + std::string(cols[0]));
     devices.push_back({std::string(cols[0]), std::string(cols[1]),
                        std::string(cols[2]), std::string(cols[3])});
     if (pos == std::string_view::npos) break;

@@ -42,7 +42,8 @@ FleetDataset import_events_csv(const std::string& events_csv,
 // sources (stream/source) can consume a growing events CSV line by line
 // with identical semantics to a batch import of the same bytes.
 
-/// Parse a devices CSV (header + rows) into its device table.
+/// Parse a devices CSV (header + rows) into its device table. Throws
+/// ParseError on a malformed row or a device id listed twice.
 std::vector<Device> parse_devices_csv(const std::string& devices_csv);
 
 /// Does an events-CSV header line carry the optional wire_hex column?

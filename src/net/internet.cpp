@@ -86,16 +86,9 @@ std::vector<const SimServer*> SimInternet::servers() const {
 }
 
 tls::ClientHello client_hello_of(BytesView client_records) {
-  auto records = tls::parse_records(client_records);
-  Bytes handshakes = tls::handshake_payload(records);
-  auto msgs = tls::split_handshakes(BytesView(handshakes.data(), handshakes.size()));
-  for (const auto& m : msgs) {
-    if (m.type == tls::HandshakeType::kClientHello) {
-      Bytes framed = tls::encode_handshake(m.type, BytesView(m.body.data(), m.body.size()));
-      return tls::ClientHello::parse(BytesView(framed.data(), framed.size()));
-    }
-  }
-  throw ParseError("client flight carries no ClientHello");
+  std::optional<tls::ClientHello> hello = tls::first_client_hello(client_records);
+  if (!hello.has_value()) throw ParseError("client flight carries no ClientHello");
+  return std::move(*hello);
 }
 
 Bytes SimInternet::connect(VantagePoint vantage, AddressFamily family,

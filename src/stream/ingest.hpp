@@ -4,10 +4,12 @@
 // CertDataset rebuild), folding one epoch of raw events at a time:
 //
 //   fold_epoch(events):
-//     1. client.append_events(events)  — parallel parse, sequential fold
+//     1. client.append_events(events)  — each distinct wire of the epoch
+//        parsed once (in parallel), then a sequential id-level fold
 //        appended after everything already ingested;
-//     2. client.finalize()             — delta re-sort of dirty posting-list
-//        rows, full bitset/permutation rebuild;
+//     2. client.finalize()             — merges each dirty posting-list
+//        row's sorted tail and the newly interned ids into the
+//        permutations; vendor bitsets take the new fingerprints;
 //     3. (certs) CertDataset::collect  — membership recomputed from the
 //        client index, probes served from the ProbeMemo so only SNIs never
 //        seen before hit the (possibly fault-injected) network.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tls/record.hpp"
 #include "util/error.hpp"
 #include "util/reader.hpp"
 #include "util/writer.hpp"
@@ -178,6 +179,26 @@ std::vector<HandshakeMessage> split_handshakes(BytesView stream) {
     out.push_back(std::move(m));
   }
   return out;
+}
+
+std::optional<ClientHello> first_client_hello(BytesView record_stream) {
+  Bytes payload = handshake_payload(parse_records(record_stream));
+  BytesView stream(payload.data(), payload.size());
+  // Walk the framing exactly as split_handshakes() does (a truncated message
+  // after the hello is still a parse error), but parse the hello in place:
+  // its framed bytes are the payload slice, so no body copy or re-encode.
+  std::optional<BytesView> framed;
+  Reader r(stream);
+  while (!r.empty()) {
+    std::size_t start = r.position();
+    auto type = static_cast<HandshakeType>(r.u8());
+    r.skip(r.u24());
+    if (type == HandshakeType::kClientHello && !framed.has_value()) {
+      framed = stream.subspan(start, r.position() - start);
+    }
+  }
+  if (!framed.has_value()) return std::nullopt;
+  return ClientHello::parse(*framed);
 }
 
 }  // namespace iotls::tls

@@ -71,4 +71,11 @@ struct HandshakeMessage {
 };
 std::vector<HandshakeMessage> split_handshakes(BytesView stream);
 
+/// The first ClientHello carried by a TLS record stream (a client flight or
+/// a captured event's wire bytes), or nullopt when the handshake messages
+/// decode but none is a ClientHello. Throws ParseError when the records,
+/// the handshake framing or the hello itself are malformed, so callers can
+/// tell "no hello" from "not TLS".
+std::optional<ClientHello> first_client_hello(BytesView record_stream);
+
 }  // namespace iotls::tls

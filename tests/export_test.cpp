@@ -97,5 +97,19 @@ TEST(Export, ImportRejectsMalformedInput) {
                ParseError);
 }
 
+TEST(Export, DevicesCsvRejectsARepeatedDeviceId) {
+  try {
+    parse_devices_csv("device,vendor,type,user\nd1,V1,T,u1\nd2,V2,T,u2\nd1,V3,T,u3\n");
+    FAIL() << "duplicate device id accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate device id: d1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(import_events_csv("device,vendor,type,user,day,sni,fp_key\n",
+                                 "device,vendor,type,user\nd1,V,T,u\nd1,V,T,u\n"),
+               ParseError);
+  EXPECT_EQ(parse_devices_csv("device,vendor,type,user\nd1,V,T,u\nd2,V,T,u\n").size(), 2u);
+}
+
 }  // namespace
 }  // namespace iotls::devicesim

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "crypto/md5.hpp"
 #include "tls/ciphersuite.hpp"
@@ -278,6 +279,41 @@ TEST(Handshake, SplitMultipleMessages) {
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].type, HandshakeType::kClientHello);
   EXPECT_EQ(msgs[1].type, HandshakeType::kCertificate);
+}
+
+TEST(Handshake, FirstClientHelloFromRecordStream) {
+  auto records_of = [](const Bytes& handshakes) {
+    return encode_records(ContentType::kHandshake, 0x0303,
+                          BytesView(handshakes.data(), handshakes.size()));
+  };
+  ClientHello ch = sample_hello();
+  CertificateMsg cert;
+  cert.chain = {{0xde, 0xad}};
+  Bytes hello = ch.encode();
+  Bytes other = cert.encode();
+
+  // The hello may follow other messages.
+  Bytes stream = other;
+  stream.insert(stream.end(), hello.begin(), hello.end());
+  Bytes wire = records_of(stream);
+  std::optional<ClientHello> got = first_client_hello(BytesView(wire.data(), wire.size()));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, ch);
+
+  // Decodable, but no hello.
+  wire = records_of(other);
+  EXPECT_FALSE(first_client_hello(BytesView(wire.data(), wire.size())).has_value());
+
+  // A truncated message after the hello fails the framing, as
+  // split_handshakes() does.
+  stream = hello;
+  stream.insert(stream.end(), {0x0b, 0x00, 0x00, 0x09, 0x01});
+  wire = records_of(stream);
+  EXPECT_THROW(first_client_hello(BytesView(wire.data(), wire.size())), ParseError);
+
+  // Not a record stream.
+  Bytes junk = {0x16, 0x03, 0x03, 0x00, 0x40, 0x01};
+  EXPECT_THROW(first_client_hello(BytesView(junk.data(), junk.size())), ParseError);
 }
 
 // ---------------------------------------------------------------- record layer

@@ -40,7 +40,6 @@
 #include "report/obs_report.hpp"
 #include "tls/ciphersuite.hpp"
 #include "tls/fingerprint.hpp"
-#include "tls/record.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -63,19 +62,10 @@ void usage(std::FILE* out) {
 /// the bytes carry none (the snapshot path's analogue of flow reassembly).
 std::optional<tls::ClientHello> hello_from_wire(BytesView wire) {
   try {
-    auto records = tls::parse_records(wire);
-    Bytes payload = tls::handshake_payload(records);
-    auto msgs =
-        tls::split_handshakes(BytesView(payload.data(), payload.size()));
-    for (const auto& m : msgs) {
-      if (m.type != tls::HandshakeType::kClientHello) continue;
-      Bytes framed =
-          tls::encode_handshake(m.type, BytesView(m.body.data(), m.body.size()));
-      return tls::ClientHello::parse(BytesView(framed.data(), framed.size()));
-    }
+    return tls::first_client_hello(wire);
   } catch (const ParseError&) {
+    return std::nullopt;
   }
-  return std::nullopt;
 }
 
 }  // namespace
