@@ -20,9 +20,10 @@
 # the snapshot's >=10x time-to-ready and <=half-RSS budgets and writing the
 # measurements to BENCH_fleet.json. A fingerprint phase runs the
 # `ctest -L fingerprint` suite (docs/FINGERPRINTING.md cross-checks), replays
-# the daemon fixture through `iotlsd --certs` and requires the live
-# /report/stacks and /report/dualstack bodies byte-identical to the batch
-# `iotls_audit --report=...` output at --jobs 1 and 8, then times a
+# the daemon fixture through `iotlsd --certs` and requires every live §5
+# report body (/report/certs, chains, issuers, ct, stacks, dualstack)
+# byte-identical to the batch `iotls_audit --report=...` output at --jobs 1
+# and 8, then times a
 # dual-stack `iotls_probe --battery --all` survey into
 # BENCH_fingerprint.json. Finally, a docs phase fails on broken relative
 # links in README.md and docs/*.md.
@@ -42,6 +43,7 @@ ctest --preset concurrency-tsan -j"$(nproc)" "$@"
 cmake --preset default
 cmake --build --preset default -j"$(nproc)" \
   --target test_perf test_cert_pipeline test_stack_fingerprint test_fold_identity \
+  test_cert_fold_identity \
   bench_perf_pipeline bench_cert_pipeline \
   iotls_probe bench_obs_overhead bench_fleet_snapshot iotlsd iotls_audit
 ctest --preset default -L perf --output-on-failure
@@ -277,10 +279,10 @@ echo "daemon phase OK: 3 epochs over ${events:-?} events," \
      "mean fold $((fold_mean / 1000000)) ms, live table04 == batch table04"
 
 # Fingerprint phase: the docs/FINGERPRINTING.md cross-check suite, then the
-# battery's batch/daemon byte-identity over the daemon phase's fleet
-# fixture — `iotlsd --certs` must serve /report/stacks and /report/dualstack
-# with exactly the bytes `iotls_audit --report=...` prints at --jobs 1 and
-# --jobs 8 — and finally a timed dual-stack battery survey of the whole
+# §5 batch/daemon byte-identity over the daemon phase's fleet fixture —
+# `iotlsd --certs` must serve /report/{certs,chains,issuers,ct,stacks,
+# dualstack} with exactly the bytes `iotls_audit --report=...` prints at
+# --jobs 1 and --jobs 8 — and finally a timed dual-stack battery survey of the whole
 # universe into BENCH_fingerprint.json (gitignored).
 ctest --preset default -L fingerprint --output-on-failure
 
@@ -330,7 +332,7 @@ if ! grep -q '"epoch":3' "$daemon_dir/epoch-fp.json"; then
   exit 1
 fi
 
-for rpt in stacks dualstack; do
+for rpt in certs chains issuers ct stacks dualstack; do
   fp_fetch "/report/$rpt" "$daemon_dir/$rpt.live"
   for jobs in 1 8; do
     ./build/tools/iotls_audit --report="$rpt" --jobs="$jobs" \
@@ -371,7 +373,7 @@ if [ -z "$battery_snis" ] || [ -z "$battery_probes" ]; then
 fi
 printf '{"snis":%s,"probes":%s,"wall_ms":%s}\n' \
   "$battery_snis" "$battery_probes" "$battery_ms" > BENCH_fingerprint.json
-echo "fingerprint phase OK: live stacks/dualstack == batch at jobs 1/8;" \
+echo "fingerprint phase OK: live §5 reports == batch at jobs 1/8;" \
      "dual-stack battery over $battery_snis SNIs ($battery_probes probes)" \
      "in ${battery_ms} ms"
 trap 'daemon_cleanup; obs_cleanup' EXIT

@@ -1,8 +1,11 @@
 #include "core/cert_dataset.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string_view>
 
 #include "exec/pool.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/strings.hpp"
 #include "x509/validation.hpp"
@@ -11,7 +14,7 @@ namespace iotls::core {
 
 namespace {
 
-/// One fully probed SNI out of the parallel stage: the record itself plus
+/// One freshly probed SNI out of the parallel stage: the record itself plus
 /// the two values the sequential fold needs (the leaf fingerprint, hashed
 /// once here and reused for dedup and the index memo, and the failure
 /// reason for span bookkeeping).
@@ -19,8 +22,36 @@ struct ProbedSni {
   SniRecord record;
   std::string leaf_fp;
   std::string fail_reason;
-  bool from_memo = false;
 };
+
+/// Row `id` of a posting table, empty past its end.
+const PostingList& row(const std::vector<PostingList>& lists, std::uint32_t id) {
+  static const PostingList kEmpty;
+  return id < lists.size() ? lists[id] : kEmpty;
+}
+
+std::set<std::string> names(const Interner& domain, const PostingList& ids) {
+  std::set<std::string> out;
+  for (std::uint32_t id : ids) out.insert(domain.str(id));
+  return out;
+}
+
+/// Add the members of `now` missing from `before` (both sorted-unique,
+/// `before` a subset of `now`) to `members`, listing them in `added`.
+void add_names(const Interner& domain, const PostingList& before,
+               const PostingList& now, std::set<std::string>& members,
+               std::vector<std::string_view>& added) {
+  added.clear();
+  auto seen = before.begin();
+  for (std::uint32_t id : now) {
+    if (seen != before.end() && *seen == id) {
+      ++seen;
+      continue;
+    }
+    members.insert(domain.str(id));
+    added.emplace_back(domain.str(id));
+  }
+}
 
 }  // namespace
 
@@ -30,17 +61,46 @@ CertDataset CertDataset::collect(const ClientDataset& client,
                                  x509::ValidationCache* cache,
                                  const net::Internet* internet,
                                  ProbeMemo* memo) {
-  auto span = obs::tracer().span("probe");
+  if (memo != nullptr) {
+    memo->dataset.fold(client, world, min_users, jobs, cache, internet);
+    return memo->dataset;
+  }
   CertDataset ds;
-  net::TlsProber prober(internet != nullptr ? *internet : world.internet);
+  ds.fold(client, world, min_users, jobs, cache, internet);
+  return ds;
+}
 
-  // Eligible SNIs in the map's (lexicographic) order — the walk order the
-  // sequential fold below preserves at every jobs level.
-  using SniUsers = std::pair<const std::string, std::set<std::string>>;
-  std::vector<const SniUsers*> eligible;
-  eligible.reserve(client.sni_users().size());
-  for (const auto& entry : client.sni_users()) {
-    if (entry.second.size() >= min_users) eligible.push_back(&entry);
+CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
+                                         const devicesim::SimWorld& world,
+                                         std::size_t min_users, int jobs,
+                                         x509::ValidationCache* cache,
+                                         const net::Internet* internet) {
+  static obs::Counter& probed_counter =
+      obs::metrics().counter("core.cert.snis_probed");
+  static obs::Counter& refreshed_counter =
+      obs::metrics().counter("core.cert.records_refreshed");
+  auto span = obs::tracer().span("probe");
+  const DatasetIndex& cx = client.index();
+  if (cx.snis().size() < folded_.size()) {
+    throw std::logic_error("CertDataset::fold: the client dataset shrank");
+  }
+  folded_.resize(cx.snis().size());
+
+  // Delta detection in lexicographic SNI order, the order records are kept
+  // in: new SNIs (eligible, no record yet) and dirty records (a posting
+  // list grew since the fold that last read it).
+  std::vector<std::uint32_t> fresh, dirty;
+  for (std::uint32_t s : cx.snis_by_name()) {
+    const FoldedSni& f = folded_[s];
+    if (!f.recorded) {
+      if (s < cx.sni_users().size() && cx.sni_users()[s].size() >= min_users) {
+        fresh.push_back(s);
+      }
+    } else if (row(cx.sni_devices(), s).size() > f.devices.size() ||
+               row(cx.sni_vendors(), s).size() > f.vendors.size() ||
+               row(cx.sni_users(), s).size() > f.users.size()) {
+      dirty.push_back(s);
+    }
   }
 
   // Parallel stage: pure per-SNI probing and record construction into
@@ -48,35 +108,17 @@ CertDataset CertDataset::collect(const ClientDataset& client,
   // survey-wide state). Counters, span bookkeeping, leaf dedup and the
   // index fold stay sequential so the dataset is byte-identical at any
   // jobs level.
-  std::vector<ProbedSni> probed(eligible.size());
-  exec::parallel_for(jobs, eligible.size(), [&](std::size_t i) {
-    const auto& [sni, users] = *eligible[i];
+  net::TlsProber prober(internet != nullptr ? *internet : world.internet);
+  std::vector<ProbedSni> probed(fresh.size());
+  exec::parallel_for(jobs, fresh.size(), [&](std::size_t i) {
+    const std::uint32_t s = fresh[i];
     ProbedSni& out = probed[i];
     SniRecord& record = out.record;
+    const std::string& sni = cx.snis().str(s);
     record.sni = sni;
-    record.users = users;
-    record.devices = client.sni_devices().at(sni);
-    record.vendors = client.sni_vendors().at(sni);
-
-    if (memo != nullptr) {
-      // Memo hits replay the prior epoch's probe verbatim; only membership
-      // (filled above) is allowed to differ between epochs.
-      auto hit = memo->by_sni.find(sni);
-      if (hit != memo->by_sni.end()) {
-        const ProbeMemo::Core& core = hit->second;
-        record.reachable = core.reachable;
-        record.chain = core.chain;
-        record.served_misordered = core.served_misordered;
-        record.leaf_by_vantage = core.leaf_by_vantage;
-        record.server_ips = core.server_ips;
-        record.stapled = core.stapled;
-        record.staple_valid = core.staple_valid;
-        out.leaf_fp = core.leaf_fp;
-        out.fail_reason = core.fail_reason;
-        out.from_memo = true;
-        return;
-      }
-    }
+    record.users = names(cx.users(), row(cx.sni_users(), s));
+    record.devices = names(cx.devices(), row(cx.sni_devices(), s));
+    record.vendors = names(cx.vendors(), row(cx.sni_vendors(), s));
 
     net::MultiVantageResult multi = prober.probe_all_vantages(sni);
     for (const auto& [vantage, result] : multi.by_vantage) {
@@ -109,41 +151,71 @@ CertDataset CertDataset::collect(const ClientDataset& client,
     }
   });
 
-  // Sequential fold, input order: aggregation and the interned index.
-  ds.index_.reserve(eligible.size());
-  ds.records_.reserve(eligible.size());
-  for (ProbedSni& p : probed) {
-    if (memo != nullptr && !p.from_memo) {
-      ProbeMemo::Core core;
-      core.reachable = p.record.reachable;
-      core.chain = p.record.chain;
-      core.served_misordered = p.record.served_misordered;
-      core.leaf_by_vantage = p.record.leaf_by_vantage;
-      core.server_ips = p.record.server_ips;
-      core.stapled = p.record.stapled;
-      core.staple_valid = p.record.staple_valid;
-      core.leaf_fp = p.leaf_fp;
-      core.fail_reason = p.fail_reason;
-      memo->by_sni.emplace(p.record.sni, std::move(core));
-    }
-    ++ds.extracted_;
+  // Membership refresh of dirty records, at their current positions: only
+  // the members each gained are added to the record and the index.
+  std::vector<std::string_view> devices, vendors, users;
+  auto pos = records_.begin();
+  for (std::uint32_t s : dirty) {
+    const std::string& sni = cx.snis().str(s);
+    pos = std::lower_bound(pos, records_.end(), sni,
+                           [](const SniRecord& r, const std::string& key) {
+                             return r.sni < key;
+                           });
+    FoldedSni& f = folded_[s];
+    add_names(cx.devices(), f.devices, row(cx.sni_devices(), s), pos->devices, devices);
+    add_names(cx.vendors(), f.vendors, row(cx.sni_vendors(), s), pos->vendors, vendors);
+    add_names(cx.users(), f.users, row(cx.sni_users(), s), pos->users, users);
+    index_.add_membership(static_cast<std::size_t>(pos - records_.begin()),
+                          *pos, devices, vendors, users);
+    f.devices = row(cx.sni_devices(), s);
+    f.vendors = row(cx.sni_vendors(), s);
+    f.users = row(cx.sni_users(), s);
+  }
+
+  // Sequential fold of the new records, SNI order: aggregation and the
+  // interned index.
+  if (records_.empty()) index_.reserve(probed.size());
+  for (std::size_t i = 0; i < probed.size(); ++i) {
+    ProbedSni& p = probed[i];
+    ++extracted_;
     span.add_items();
     if (!p.record.reachable) {
       span.fail(p.fail_reason);
     } else {
-      ++ds.reachable_;
+      ++reachable_;
       if (!p.record.chain.empty()) {
-        LeafRecord& leaf = ds.leaves_[p.leaf_fp];
+        LeafRecord& leaf = leaves_[p.leaf_fp];
         if (leaf.servers.empty()) leaf.cert = p.record.chain.front();
         leaf.servers.insert(p.record.sni);
         for (const std::string& ip : p.record.server_ips) leaf.ips.insert(ip);
       }
     }
-    ds.index_.record(p.record, p.leaf_fp);
-    ds.records_.push_back(std::move(p.record));
+    index_.record(p.record, p.leaf_fp);
+    const std::uint32_t s = fresh[i];
+    folded_[s] = {true, row(cx.sni_devices(), s), row(cx.sni_vendors(), s),
+                  row(cx.sni_users(), s)};
   }
-  ds.index_.finalize();
-  return ds;
+
+  // Merge the new records into lexicographic order from the back; earlier
+  // records move once each, and only when something lands before them.
+  std::vector<std::size_t> at(probed.size());
+  std::size_t old = records_.size();
+  records_.resize(old + probed.size());
+  for (std::size_t k = records_.size(), j = probed.size(); j > 0;) {
+    --k;
+    if (old > 0 && probed[j - 1].record.sni < records_[old - 1].sni) {
+      records_[k] = std::move(records_[--old]);
+    } else {
+      --j;
+      records_[k] = std::move(probed[j].record);
+      at[j] = k;
+    }
+  }
+  index_.finalize(at);
+
+  probed_counter.inc(fresh.size());
+  refreshed_counter.inc(dirty.size());
+  return {fresh.size(), dirty.size()};
 }
 
 std::set<std::string> CertDataset::issuer_organizations() const {

@@ -58,27 +58,7 @@ struct GeoComparison {
   std::map<net::VantagePoint, std::size_t> exclusive;    // leaf unique to place
 };
 
-/// Probe-derived per-SNI state carried across epochs by the streaming
-/// daemon. Everything in a Core is a pure function of (SNI, world) — which
-/// devices/vendors/users contacted the SNI is *not* (membership grows with
-/// the event stream), so membership is recomputed from the client index on
-/// every collect and never memoized. A collect seeded with a memo probes
-/// only never-seen SNIs and rebuilds the rest from Cores, yielding a
-/// dataset byte-identical to a cold collect over the same client dataset.
-struct ProbeMemo {
-  struct Core {
-    bool reachable = false;
-    std::vector<x509::Certificate> chain;
-    bool served_misordered = false;
-    std::map<net::VantagePoint, std::optional<std::string>> leaf_by_vantage;
-    std::vector<std::string> server_ips;
-    bool stapled = false;
-    bool staple_valid = false;
-    std::string leaf_fp;
-    std::string fail_reason;
-  };
-  std::map<std::string, Core> by_sni;
-};
+struct ProbeMemo;
 
 /// The §5.1 dataset.
 class CertDataset {
@@ -93,8 +73,9 @@ class CertDataset {
   /// across servers sharing a certificate. `internet` (optional) overrides
   /// the internet probes travel through — e.g. a FaultInjector decorating
   /// `world.internet` — without touching the world's PKI or IP metadata.
-  /// `memo` (optional) skips probing for SNIs with a memoized Core and
-  /// stores Cores for the ones probed this call (see ProbeMemo).
+  /// Without a `memo` this is one fold() into an empty dataset. With one,
+  /// the call folds `client`'s growth into the memo's resident dataset (see
+  /// ProbeMemo) and returns a copy of it.
   static CertDataset collect(const ClientDataset& client,
                              const devicesim::SimWorld& world,
                              std::size_t min_users = 1, int jobs = 1,
@@ -102,11 +83,35 @@ class CertDataset {
                              const net::Internet* internet = nullptr,
                              ProbeMemo* memo = nullptr);
 
+  /// What one fold() did.
+  struct FoldStats {
+    std::size_t snis_probed = 0;        // new records, probed this fold
+    std::size_t records_refreshed = 0;  // records whose membership grew
+  };
+
+  /// Fold `client`'s growth since the previous fold into this dataset, in
+  /// place. Walking the client index by SNI id, an SNI is *new* once its
+  /// user posting list reaches `min_users` and it has no record yet: it is
+  /// probed (in parallel, as in collect) and merged into records() in
+  /// lexicographic order. A recorded SNI is *dirty* when one of its
+  /// device/vendor/user posting lists grew since the fold that last read
+  /// it; only dirty records have their membership refreshed. Posting lists
+  /// only grow, so any split of one event stream into client epochs, each
+  /// followed by a fold, yields the records, leaves and counters of one
+  /// fold over the whole stream, and an index with the same content (ids
+  /// may be renamed; see CertIndex). A dataset must keep folding the same
+  /// growing `client` with the same `world` and `min_users`.
+  FoldStats fold(const ClientDataset& client, const devicesim::SimWorld& world,
+                 std::size_t min_users = 1, int jobs = 1,
+                 x509::ValidationCache* cache = nullptr,
+                 const net::Internet* internet = nullptr);
+
   const std::vector<SniRecord>& records() const { return records_; }
   const std::map<std::string, LeafRecord>& leaves() const { return leaves_; }
 
-  /// The interned-id cross-index built during collect (dense ids, posting
-  /// lists, per-leaf fingerprint memo) — what the §5.2–§5.4 analyses run on.
+  /// The interned-id cross-index kept alongside the records (dense ids,
+  /// posting lists, per-leaf fingerprint memo) — what the §5.2–§5.4
+  /// analyses run on.
   const CertIndex& index() const { return index_; }
 
   std::size_t extracted_snis() const { return extracted_; }
@@ -135,11 +140,28 @@ class CertDataset {
   GeoComparison geo_comparison() const;
 
  private:
+  /// Per client-index SNI id: the client posting lists a record last
+  /// folded (empty until the SNI has a record). A longer client list marks
+  /// the record dirty; the difference is the membership it gained.
+  struct FoldedSni {
+    bool recorded = false;
+    PostingList devices, vendors, users;
+  };
+
   std::vector<SniRecord> records_;
   std::map<std::string, LeafRecord> leaves_;  // leaf fingerprint -> record
   CertIndex index_;
   std::size_t extracted_ = 0;
   std::size_t reachable_ = 0;
+  std::vector<FoldedSni> folded_;
+};
+
+/// The resident §5 dataset of a streaming ingest. A collect() given the
+/// memo folds only the client dataset's growth into it — probing SNIs that
+/// became eligible, refreshing the membership of records whose posting
+/// lists grew — so an epoch costs its delta, not the history.
+struct ProbeMemo {
+  CertDataset dataset;
 };
 
 }  // namespace iotls::core

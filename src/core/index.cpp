@@ -6,31 +6,6 @@
 
 namespace iotls::core {
 
-void DatasetIndex::DirtyRows::note(std::uint32_t row, std::size_t sorted_len) {
-  if (row >= noted.size()) noted.resize(row + 1, 0);
-  if (noted[row]) return;
-  noted[row] = 1;
-  rows.push_back(row);
-  sorted.push_back(static_cast<std::uint32_t>(sorted_len));
-}
-
-void DatasetIndex::DirtyRows::clear() {
-  for (std::uint32_t row : rows) noted[row] = 0;
-  rows.clear();
-  sorted.clear();
-}
-
-/// Append to a posting list, skipping the (very common) case of consecutive
-/// duplicates; full dedup happens in finalize(). `row` may be first-seen.
-void DatasetIndex::append(std::vector<PostingList>& lists, DirtyRows& dirty,
-                          std::uint32_t row, std::uint32_t id) {
-  if (row >= lists.size()) lists.resize(row + 1);
-  PostingList& list = lists[row];
-  if (!list.empty() && list.back() == id) return;
-  dirty.note(row, list.size());
-  list.push_back(id);
-}
-
 void DatasetIndex::reserve(std::size_t expected_devices,
                            std::size_t expected_events) {
   devices_.reserve(expected_devices);
@@ -68,15 +43,15 @@ std::uint32_t DatasetIndex::intern_fp(std::string_view key,
 }
 
 void DatasetIndex::record(const DeviceIds& d, std::uint32_t sni, std::uint32_t fp) {
-  append(fp_vendors_, dirty_fp_vendors_, fp, d.vendor);
-  append(fp_devices_, dirty_fp_devices_, fp, d.device);
-  append(fp_snis_, dirty_fp_snis_, fp, sni);
-  append(vendor_fps_, dirty_vendor_fps_, d.vendor, fp);
-  append(device_fps_, dirty_device_fps_, d.device, fp);
-  append(sni_devices_, dirty_sni_devices_, sni, d.device);
-  append(sni_vendors_, dirty_sni_vendors_, sni, d.vendor);
-  append(sni_fps_, dirty_sni_fps_, sni, fp);
-  append(sni_users_, dirty_sni_users_, sni, d.user);
+  append_posting(fp_vendors_, dirty_fp_vendors_, fp, d.vendor);
+  append_posting(fp_devices_, dirty_fp_devices_, fp, d.device);
+  append_posting(fp_snis_, dirty_fp_snis_, fp, sni);
+  append_posting(vendor_fps_, dirty_vendor_fps_, d.vendor, fp);
+  append_posting(device_fps_, dirty_device_fps_, d.device, fp);
+  append_posting(sni_devices_, dirty_sni_devices_, sni, d.device);
+  append_posting(sni_vendors_, dirty_sni_vendors_, sni, d.vendor);
+  append_posting(sni_fps_, dirty_sni_fps_, sni, fp);
+  append_posting(sni_users_, dirty_sni_users_, sni, d.user);
 }
 
 void DatasetIndex::ByName::extend(const Interner& names) {
@@ -150,53 +125,17 @@ void DatasetIndex::finalize() {
     }
   }
 
-  // Delta merge: a dirty row is its sorted-unique prefix plus an appended
-  // tail. Sort and dedup the tail, find where each new id lands in the
-  // prefix (dropping ids the prefix already holds), then fill from the back,
-  // shifting prefix blocks with one move each. A row costs O(tail log row)
-  // compares plus the shifted elements, with no allocation per row. Rows
-  // not appended to since the last finalize are untouched.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> fresh;  // (id, slot)
-  auto merge_dirty = [&fresh](std::vector<PostingList>& lists, DirtyRows& dirty) {
-    for (std::size_t i = 0; i < dirty.rows.size(); ++i) {
-      PostingList& list = lists[dirty.rows[i]];
-      const std::size_t prefix = dirty.sorted[i];
-      auto begin = list.begin();
-      auto mid = begin + static_cast<std::ptrdiff_t>(prefix);
-      std::sort(mid, list.end());
-      list.erase(std::unique(mid, list.end()), list.end());
-      if (prefix == 0 || list[prefix - 1] < list[prefix]) continue;
-      fresh.clear();
-      auto slot = begin;
-      for (std::size_t j = prefix; j < list.size(); ++j) {
-        slot = std::lower_bound(slot, mid, list[j]);
-        if (slot == mid || *slot != list[j]) {
-          fresh.emplace_back(list[j], static_cast<std::uint32_t>(slot - begin));
-        }
-      }
-      // Every prefix element in [slot, p) sorts after the id placed there.
-      list.resize(prefix + fresh.size());
-      begin = list.begin();
-      auto end = list.end();
-      std::size_t p = prefix;
-      for (std::size_t j = fresh.size(); j > 0; --j) {
-        auto [id, at] = fresh[j - 1];
-        end = std::move_backward(begin + at, begin + static_cast<std::ptrdiff_t>(p), end);
-        *--end = id;
-        p = at;
-      }
-    }
-    dirty.clear();
-  };
-  merge_dirty(fp_vendors_, dirty_fp_vendors_);
-  merge_dirty(fp_devices_, dirty_fp_devices_);
-  merge_dirty(fp_snis_, dirty_fp_snis_);
-  merge_dirty(vendor_fps_, dirty_vendor_fps_);
-  merge_dirty(device_fps_, dirty_device_fps_);
-  merge_dirty(sni_devices_, dirty_sni_devices_);
-  merge_dirty(sni_vendors_, dirty_sni_vendors_);
-  merge_dirty(sni_fps_, dirty_sni_fps_);
-  merge_dirty(sni_users_, dirty_sni_users_);
+  // Delta merge of every relation (see merge_dirty_rows): rows not
+  // appended to since the last finalize are untouched.
+  merge_dirty_rows(fp_vendors_, dirty_fp_vendors_);
+  merge_dirty_rows(fp_devices_, dirty_fp_devices_);
+  merge_dirty_rows(fp_snis_, dirty_fp_snis_);
+  merge_dirty_rows(vendor_fps_, dirty_vendor_fps_);
+  merge_dirty_rows(device_fps_, dirty_device_fps_);
+  merge_dirty_rows(sni_devices_, dirty_sni_devices_);
+  merge_dirty_rows(sni_vendors_, dirty_sni_vendors_);
+  merge_dirty_rows(sni_fps_, dirty_sni_fps_);
+  merge_dirty_rows(sni_users_, dirty_sni_users_);
 
   vendors_by_name_.extend(vendors_);
   devices_by_name_.extend(devices_);

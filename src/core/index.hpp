@@ -112,20 +112,6 @@ class DatasetIndex {
   void finalize();
 
  private:
-  /// Rows of one relation appended to since the last finalize(), each with
-  /// the length of its sorted-unique prefix when it was first appended to.
-  struct DirtyRows {
-    std::vector<std::uint32_t> rows;
-    std::vector<std::uint32_t> sorted;  // parallel to `rows`
-    std::vector<std::uint8_t> noted;    // row id -> already in `rows`
-
-    void note(std::uint32_t row, std::size_t sorted_len);
-    void clear();
-  };
-
-  void append(std::vector<PostingList>& lists, DirtyRows& dirty,
-              std::uint32_t row, std::uint32_t id);
-
   /// A lexicographic id permutation, with each entry's first 16 bytes kept
   /// beside it (zero-padded, big-endian words), so merging new ids in
   /// compares contiguous keys and reads a string only on a 16-byte tie.

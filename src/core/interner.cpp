@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "obs/resource.hpp"
 
 namespace iotls::core {
+
+Interner::Interner(const Interner& other) : strings_(other.strings_) {
+  ids_.reserve(strings_.size());
+  for (std::uint32_t id = 0; id < strings_.size(); ++id) {
+    ids_.emplace(std::string_view(strings_[id]), id);
+  }
+}
+
+Interner& Interner::operator=(const Interner& other) {
+  if (this != &other) *this = Interner(other);
+  return *this;
+}
 
 std::uint32_t Interner::intern(std::string_view s) {
   auto it = ids_.find(s);
@@ -48,6 +61,48 @@ std::size_t Bitset::and_count(const Bitset& a, const Bitset& b) {
     n += static_cast<std::size_t>(std::popcount(a.words_[i] & b.words_[i]));
   }
   return n;
+}
+
+void DirtyRows::clear() {
+  for (std::uint32_t row : rows) noted[row] = 0;
+  rows.clear();
+  sorted.clear();
+}
+
+void merge_dirty_rows(std::vector<PostingList>& lists, DirtyRows& dirty) {
+  // Sort and dedup the tail, find where each new id lands in the prefix
+  // (dropping ids the prefix already holds), then fill from the back,
+  // shifting prefix blocks with one move each.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> fresh;  // (id, slot)
+  for (std::size_t i = 0; i < dirty.rows.size(); ++i) {
+    PostingList& list = lists[dirty.rows[i]];
+    const std::size_t prefix = dirty.sorted[i];
+    auto begin = list.begin();
+    auto mid = begin + static_cast<std::ptrdiff_t>(prefix);
+    std::sort(mid, list.end());
+    list.erase(std::unique(mid, list.end()), list.end());
+    if (prefix == 0 || list[prefix - 1] < list[prefix]) continue;
+    fresh.clear();
+    auto slot = begin;
+    for (std::size_t j = prefix; j < list.size(); ++j) {
+      slot = std::lower_bound(slot, mid, list[j]);
+      if (slot == mid || *slot != list[j]) {
+        fresh.emplace_back(list[j], static_cast<std::uint32_t>(slot - begin));
+      }
+    }
+    // Every prefix element in [slot, p) sorts after the id placed there.
+    list.resize(prefix + fresh.size());
+    begin = list.begin();
+    auto end = list.end();
+    std::size_t p = prefix;
+    for (std::size_t j = fresh.size(); j > 0; --j) {
+      auto [id, at] = fresh[j - 1];
+      end = std::move_backward(begin + at, begin + static_cast<std::ptrdiff_t>(p), end);
+      *--end = id;
+      p = at;
+    }
+  }
+  dirty.clear();
 }
 
 std::size_t intersect_count(const PostingList& a, const PostingList& b) {

@@ -25,6 +25,14 @@ class Interner {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
+  Interner() = default;
+  /// A copy owns its strings: the id map is rebuilt over the copied
+  /// storage, never left viewing the source's.
+  Interner(const Interner& other);
+  Interner& operator=(const Interner& other);
+  Interner(Interner&&) = default;
+  Interner& operator=(Interner&&) = default;
+
   /// Id of `s`, interning it if unseen.
   std::uint32_t intern(std::string_view s);
 
@@ -91,6 +99,46 @@ class Bitset {
 
 /// Sorted-unique posting list over dense ids.
 using PostingList = std::vector<std::uint32_t>;
+
+/// The rows of a posting-list table appended to since the table was last
+/// merged, each with the length of its sorted-unique prefix when it was
+/// first appended to. DatasetIndex and CertIndex grow their tables with
+/// append_posting() and restore sorted-unique rows with merge_dirty_rows(),
+/// so a fold costs its delta, not a re-sort of history.
+struct DirtyRows {
+  std::vector<std::uint32_t> rows;
+  std::vector<std::uint32_t> sorted;  // parallel to `rows`
+  std::vector<std::uint8_t> noted;    // row id -> already in `rows`
+
+  void note(std::uint32_t row, std::size_t sorted_len) {
+    if (row >= noted.size()) noted.resize(row + 1, 0);
+    if (noted[row]) return;
+    noted[row] = 1;
+    rows.push_back(row);
+    sorted.push_back(static_cast<std::uint32_t>(sorted_len));
+  }
+  void clear();
+};
+
+/// Append `id` to row `row` of `lists`, growing the table to hold the row
+/// and skipping the (very common) consecutive duplicate. The row becomes
+/// dirty; full dedup happens in merge_dirty_rows(). Inline: the §4 fold
+/// calls it for every relation of every event.
+inline void append_posting(std::vector<PostingList>& lists, DirtyRows& dirty,
+                           std::uint32_t row, std::uint32_t id) {
+  if (row >= lists.size()) lists.resize(row + 1);
+  PostingList& list = lists[row];
+  if (!list.empty() && list.back() == id) return;
+  dirty.note(row, list.size());
+  list.push_back(id);
+}
+
+/// Make every dirty row sorted-unique again, then clear `dirty`. A dirty
+/// row is its sorted-unique prefix plus an appended tail: the tail is sorted
+/// and deduplicated and merged into the prefix from the back, so a row costs
+/// O(tail log row) compares plus the shifted elements. Clean rows are not
+/// touched.
+void merge_dirty_rows(std::vector<PostingList>& lists, DirtyRows& dirty);
 
 /// |a ∩ b| of two sorted-unique lists (linear merge with galloping skip for
 /// lopsided sizes).

@@ -11,6 +11,7 @@ bool SurveyDaemon::start(std::uint16_t port, std::string* error) {
 
   server.handle("/epoch", [this](const obs::HttpRequest&) {
     std::lock_guard<std::mutex> lock(mu_);
+    const StreamIngest::FoldStats& fold = ingest_.last_fold();
     obs::Json doc(obs::Json::Object{
         {"epoch", static_cast<std::int64_t>(ingest_.epoch())},
         {"events", static_cast<std::int64_t>(ingest_.events_ingested())},
@@ -19,6 +20,15 @@ bool SurveyDaemon::start(std::uint16_t port, std::string* error) {
         {"fingerprints",
          static_cast<std::int64_t>(ingest_.client().index().fps().size())},
         {"certs", ingest_.config().certs},
+        {"last_fold",
+         obs::Json::Object{
+             {"append_ms", fold.append_ms},
+             {"finalize_ms", fold.finalize_ms},
+             {"certs_ms", fold.certs_ms},
+             {"snis_probed", static_cast<std::int64_t>(fold.snis_probed)},
+             {"records_refreshed",
+              static_cast<std::int64_t>(fold.records_refreshed)},
+         }},
     });
     return obs::HttpResponse::json(200, doc.dump() + "\n");
   });

@@ -6,7 +6,10 @@
 // top of the plane's standard set (/metrics /stats /healthz /readyz /trace
 // /quitquitquit):
 //
-//   GET /epoch           {"epoch":N,"events":M,"watermark_day":D,...}
+//   GET /epoch           {"epoch":N,"events":M,"watermark_day":D,...,
+//                         "last_fold":{"append_ms":..,"finalize_ms":..,
+//                         "certs_ms":..,"snis_probed":..,
+//                         "records_refreshed":..}}
 //   GET /report/<name>   the stream report document (see stream/reports),
 //                        one per name in report_names()
 //

@@ -1,6 +1,7 @@
 #include "stream/ingest.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "obs/log.hpp"
@@ -29,22 +30,36 @@ std::uint64_t StreamIngest::fold_epoch(
     const std::vector<devicesim::ClientHelloEvent>& events) {
   static obs::Histogram& fold_ns =
       obs::metrics().histogram("stream.epoch_fold_ns");
+  using Clock = std::chrono::steady_clock;
+  auto ms_since = [](Clock::time_point t) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
+  };
   auto span = obs::tracer().span("stream.epoch_fold");
   {
     obs::ScopedTimer timer(fold_ns);
+    FoldStats stats;
 
+    auto t = Clock::now();
     client_.append_events(events, devices_, config_.fp_opts, config_.jobs);
+    stats.append_ms = ms_since(t);
+    t = Clock::now();
     client_.finalize();
+    stats.finalize_ms = ms_since(t);
     for (const devicesim::ClientHelloEvent& ev : events) {
       watermark_day_ = std::max(watermark_day_, ev.day);
     }
 
     if (config_.certs) {
-      certs_ = core::CertDataset::collect(
+      t = Clock::now();
+      core::CertDataset::FoldStats folded = memo_.dataset.fold(
           client_, *world_, config_.min_users, config_.jobs, &vcache_,
-          injector_ != nullptr ? injector_.get() : nullptr, &memo_);
-      stacks_.reset();  // membership may have grown; reassemble on demand
+          injector_ != nullptr ? injector_.get() : nullptr);
+      stats.certs_ms = ms_since(t);
+      stats.snis_probed = folded.snis_probed;
+      stats.records_refreshed = folded.records_refreshed;
+      if (folded.snis_probed > 0) stacks_.reset();  // new records to battery
     }
+    last_fold_ = stats;
   }
 
   ++epoch_;
@@ -62,7 +77,8 @@ std::uint64_t StreamIngest::fold_epoch(
 
 const net::StackSurvey& StreamIngest::stacks() {
   if (stacks_.has_value()) return *stacks_;
-  if (!certs_.has_value()) {
+  const core::CertDataset* certs = this->certs();
+  if (certs == nullptr) {
     throw std::logic_error("stacks(): certs mode with >=1 folded epoch required");
   }
 
@@ -73,8 +89,8 @@ const net::StackSurvey& StreamIngest::stacks() {
   // the same bytes a cold batch survey produces.
   std::vector<std::string> all;
   std::vector<std::string> fresh;
-  all.reserve(certs_->records().size());
-  for (const core::SniRecord& record : certs_->records()) {
+  all.reserve(certs->records().size());
+  for (const core::SniRecord& record : certs->records()) {
     all.push_back(record.sni);
     if (stack_memo_.count(record.sni) == 0) fresh.push_back(record.sni);
   }

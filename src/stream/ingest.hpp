@@ -1,7 +1,7 @@
 // StreamIngest: the epoch-based incremental fold behind iotlsd.
 //
-// Owns the growing ClientDataset (and, with certs enabled, the per-epoch
-// CertDataset rebuild), folding one epoch of raw events at a time:
+// Owns the growing ClientDataset (and, with certs enabled, the resident
+// CertDataset), folding one epoch of raw events at a time:
 //
 //   fold_epoch(events):
 //     1. client.append_events(events)  — each distinct wire of the epoch
@@ -10,9 +10,11 @@
 //     2. client.finalize()             — merges each dirty posting-list
 //        row's sorted tail and the newly interned ids into the
 //        permutations; vendor bitsets take the new fingerprints;
-//     3. (certs) CertDataset::collect  — membership recomputed from the
-//        client index, probes served from the ProbeMemo so only SNIs never
-//        seen before hit the (possibly fault-injected) network.
+//     3. (certs) CertDataset::fold     — in place on the resident dataset:
+//        only SNIs that became eligible this epoch hit the (possibly
+//        fault-injected) network, and only records whose client posting
+//        lists grew have their membership refreshed; the CertIndex appends
+//        and merges the rows that gained postings.
 //
 // The contract the daemon's tests pin down: after folding epochs e1..eN,
 // every dataset and report is byte-identical to a cold batch run over the
@@ -75,10 +77,21 @@ class StreamIngest {
   std::uint64_t fold_epoch(const std::vector<devicesim::ClientHelloEvent>& events);
 
   const core::ClientDataset& client() const { return client_; }
-  /// Non-null once certs are enabled and at least one epoch has folded.
+  /// The resident §5 dataset: non-null once certs are enabled and at least
+  /// one epoch has folded.
   const core::CertDataset* certs() const {
-    return certs_.has_value() ? &*certs_ : nullptr;
+    return config_.certs && epoch_ > 0 ? &memo_.dataset : nullptr;
   }
+
+  /// What the most recent fold_epoch() cost, stage by stage.
+  struct FoldStats {
+    double append_ms = 0;    // client.append_events
+    double finalize_ms = 0;  // client.finalize
+    double certs_ms = 0;     // CertDataset::fold (0 without certs)
+    std::size_t snis_probed = 0;
+    std::size_t records_refreshed = 0;
+  };
+  const FoldStats& last_fold() const { return last_fold_; }
 
   /// Active stack-fingerprint survey (dual-stack battery) over the cert
   /// dataset's SNIs, in records() order. Lazily run on first call after a
@@ -104,11 +117,12 @@ class StreamIngest {
   IngestConfig config_;
   std::vector<devicesim::Device> devices_;
   core::ClientDataset client_;
-  std::optional<core::CertDataset> certs_;
   std::unique_ptr<devicesim::SimWorld> world_;
   std::unique_ptr<net::FaultInjector> injector_;
-  core::ProbeMemo memo_;
-  std::optional<net::StackSurvey> stacks_;  // assembled view, reset per fold
+  core::ProbeMemo memo_;  // the resident CertDataset
+  FoldStats last_fold_;
+  // Assembled battery view; reset when a fold adds records.
+  std::optional<net::StackSurvey> stacks_;
   std::map<std::string, net::ServerStackResult> stack_memo_;
   net::StackSurveySummary stack_summary_;   // accumulates fresh batches
   std::unique_ptr<net::FaultInjector> stack_injector_;

@@ -16,6 +16,7 @@
 #include "devicesim/scenario.hpp"
 #include "net/fault.hpp"
 #include "obs/http_server.hpp"
+#include "obs/json.hpp"
 #include "stream/daemon.hpp"
 #include "stream/ingest.hpp"
 #include "stream/reports.hpp"
@@ -221,6 +222,56 @@ TEST(SurveyDaemonTest, ServesLiveReportsByteIdenticalToBatch) {
   EXPECT_EQ(obs::http_get(daemon.port(), "/report/nonsense", &body), 404);
 
   daemon.stop();
+}
+
+TEST(SurveyDaemonTest, EpochServesTheLastFoldsStageCost) {
+  devicesim::FleetDataset fleet = small_fleet(6, /*cover_all_snis=*/false);
+  for (bool certs : {false, true}) {
+    IngestConfig config;
+    config.certs = certs;
+    SurveyDaemon daemon(fleet.devices, config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(0, &error)) << error;
+    ReplaySource source(fleet.events, 2);
+    ASSERT_TRUE(daemon.step(source));
+
+    std::string body;
+    ASSERT_EQ(obs::http_get(daemon.port(), "/epoch", &body), 200);
+    obs::Json doc = obs::parse_json(body);
+    const obs::Json* fold = doc.find("last_fold");
+    ASSERT_NE(fold, nullptr) << body;
+    for (const char* field : {"append_ms", "finalize_ms", "certs_ms",
+                              "snis_probed", "records_refreshed"}) {
+      ASSERT_NE(fold->find(field), nullptr) << field << " missing: " << body;
+    }
+    EXPECT_GT(fold->find("append_ms")->as_double(), 0.0) << body;
+    const StreamIngest::FoldStats stats = daemon.ingest().last_fold();
+    EXPECT_EQ(fold->find("snis_probed")->as_int(),
+              static_cast<std::int64_t>(stats.snis_probed));
+    if (!certs) {
+      EXPECT_EQ(fold->find("certs_ms")->as_double(), 0.0) << body;
+      EXPECT_EQ(fold->find("snis_probed")->as_int(), 0) << body;
+      EXPECT_EQ(fold->find("records_refreshed")->as_int(), 0) << body;
+    } else {
+      // The first epoch probes every SNI it makes eligible; the second
+      // probes only new ones and refreshes the records that grew.
+      EXPECT_EQ(stats.snis_probed, daemon.ingest().certs()->records().size());
+      EXPECT_EQ(stats.records_refreshed, 0u);
+      ASSERT_TRUE(daemon.step(source));
+      const StreamIngest::FoldStats second = daemon.ingest().last_fold();
+      EXPECT_GT(second.records_refreshed, 0u);
+      EXPECT_EQ(stats.snis_probed + second.snis_probed,
+                daemon.ingest().certs()->records().size());
+      ASSERT_EQ(obs::http_get(daemon.port(), "/epoch", &body), 200);
+      doc = obs::parse_json(body);
+      fold = doc.find("last_fold");
+      ASSERT_NE(fold, nullptr) << body;
+      EXPECT_GT(fold->find("certs_ms")->as_double(), 0.0) << body;
+      EXPECT_EQ(fold->find("records_refreshed")->as_int(),
+                static_cast<std::int64_t>(second.records_refreshed));
+    }
+    daemon.stop();
+  }
 }
 
 }  // namespace
