@@ -51,11 +51,18 @@ constexpr int kIntermediates = 50;  // shared issuing intermediates
 constexpr int kVendors = 16;
 const std::int64_t kProbeDay = days(2022, 4, 15);
 
+/// The devices and vendors seen toward one SNI, as strings.
+struct SniMembers {
+  std::set<std::string> devices, vendors;
+};
+using Members = std::map<std::string, SniMembers>;
+
 /// The synthetic world plus the client dataset pointing at it, built once.
 struct Synthetic {
   devicesim::SimWorld world;
   core::ClientDataset client;
   core::CertDataset certs;
+  Members members;  // from the parsed events: the seed path's per-SNI sets
 
   static const Synthetic& get() {
     static Synthetic s;
@@ -135,12 +142,17 @@ struct Synthetic {
 
     client = core::ClientDataset::from_fleet(fleet);
     certs = core::CertDataset::collect(client, world);
+    for (const core::ParsedEvent& e : client.events()) {
+      members[e.sni].devices.insert(e.device_id);
+      members[e.sni].vendors.insert(e.vendor);
+    }
   }
 };
 
 // ------------------------------------------------- seed-path restatements
 // The pre-index string-map analyses, verbatim (see tests/cert_pipeline_test
-// for the byte-identity proof of these restatements).
+// for the byte-identity proof of these restatements). The per-SNI member
+// sets the seed kept on each record come from Synthetic::members.
 
 bool ref_is_public(const std::map<std::string, bool>& issuer_is_public,
                    const std::string& org) {
@@ -149,6 +161,7 @@ bool ref_is_public(const std::map<std::string, bool>& issuer_is_public,
 }
 
 core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
+                                       const Members& members,
                                        const devicesim::SimWorld& world,
                                        std::int64_t now) {
   core::ChainReport report;
@@ -167,8 +180,7 @@ core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
     v.result = x509::validate_chain(chain, record.sni, world.trust,
                                     world.keys, now);
     v.chain_length = record.chain.size();
-    v.devices = record.devices;
-    v.vendors = record.vendors;
+    const SniMembers& m = members.at(record.sni);
     if (!record.chain.empty()) {
       v.leaf_issuer = record.chain.front().issuer.organization;
       auto it = world.issuer_is_public.find(v.leaf_issuer);
@@ -192,8 +204,8 @@ core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
       row.status = v.result.status;
       row.chain_lengths.insert(v.chain_length);
       ++row.fqdns;
-      for (const std::string& d : v.devices) row.devices.insert(d);
-      for (const std::string& vendor : v.vendors) row.vendors.insert(vendor);
+      for (const std::string& d : m.devices) row.devices.insert(d);
+      for (const std::string& vendor : m.vendors) row.vendors.insert(vendor);
     };
 
     switch (v.result.status) {
@@ -216,8 +228,8 @@ core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
       row.sld = second_level_domain(v.sni);
       row.not_after = record.chain.front().not_after;
       row.issuer = v.leaf_issuer;
-      row.devices = v.devices;
-      row.vendors = v.vendors;
+      row.devices = m.devices;
+      row.vendors = m.vendors;
       report.expired.push_back(std::move(row));
     }
     if (!v.result.hostname_ok && !record.chain.empty()) {
@@ -244,13 +256,13 @@ core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
 }
 
 std::map<std::string, std::map<std::string, std::size_t>>
-ref_vendor_issuer_counts(const core::CertDataset& certs) {
+ref_vendor_issuer_counts(const core::CertDataset& certs, const Members& members) {
   std::map<std::string, std::map<std::string, std::set<std::string>>>
       vendor_issuer_leaves;
   for (const core::SniRecord& record : certs.records()) {
     if (!record.reachable || record.chain.empty()) continue;
     const x509::Certificate& leaf = record.chain.front();
-    for (const std::string& vendor : record.vendors) {
+    for (const std::string& vendor : members.at(record.sni).vendors) {
       vendor_issuer_leaves[vendor][leaf.issuer.organization].insert(
           leaf.fingerprint());
     }
@@ -263,10 +275,10 @@ ref_vendor_issuer_counts(const core::CertDataset& certs) {
 }
 
 core::IssuerMatrix ref_issuer_matrix(
-    const core::CertDataset& certs,
+    const core::CertDataset& certs, const Members& members,
     const std::map<std::string, bool>& issuer_is_public) {
   core::IssuerMatrix matrix;
-  auto counts = ref_vendor_issuer_counts(certs);
+  auto counts = ref_vendor_issuer_counts(certs, members);
   std::map<std::string, std::size_t> issuer_totals;
   for (const auto& [fp, leaf] : certs.leaves()) {
     ++issuer_totals[leaf.cert.issuer.organization];
@@ -304,7 +316,7 @@ core::IssuerMatrix ref_issuer_matrix(
 }
 
 core::IssuerReport ref_issuer_report(
-    const core::CertDataset& certs,
+    const core::CertDataset& certs, const Members& members,
     const std::map<std::string, bool>& issuer_is_public) {
   core::IssuerReport report;
   report.leaves = certs.leaves().size();
@@ -321,7 +333,7 @@ core::IssuerReport ref_issuer_report(
     report.issuer_share[org] =
         static_cast<double>(n) / static_cast<double>(report.leaves);
   }
-  auto counts = ref_vendor_issuer_counts(certs);
+  auto counts = ref_vendor_issuer_counts(certs, members);
   for (const auto& [vendor, issuers] : counts) {
     bool any_private = false;
     bool all_self = true;
@@ -339,6 +351,7 @@ core::IssuerReport ref_issuer_report(
 }
 
 core::CtReport ref_ct_report(const core::CertDataset& certs,
+                             const Members& members,
                              const devicesim::SimWorld& world) {
   auto issuer_public = [&](const std::string& org) {
     auto it = world.issuer_is_public.find(org);
@@ -359,7 +372,7 @@ core::CtReport ref_ct_report(const core::CertDataset& certs,
         : anchored_public ? core::ChainClass::kPrivateLeafPublicRoot
                           : core::ChainClass::kPrivateLeafPrivateRoot;
     bool logged = world.ct_index.logged(leaf.fingerprint());
-    for (const std::string& vendor : record.vendors) {
+    for (const std::string& vendor : members.at(record.sni).vendors) {
       core::CtPoint point;
       point.sni = record.sni;
       point.vendor = vendor;
@@ -397,10 +410,13 @@ core::CtReport ref_ct_report(const core::CertDataset& certs,
 void BM_Analyses_SeedStringMap(benchmark::State& state) {
   const Synthetic& s = Synthetic::get();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ref_validate_dataset(s.certs, s.world, kProbeDay));
-    benchmark::DoNotOptimize(ref_issuer_matrix(s.certs, s.world.issuer_is_public));
-    benchmark::DoNotOptimize(ref_issuer_report(s.certs, s.world.issuer_is_public));
-    benchmark::DoNotOptimize(ref_ct_report(s.certs, s.world));
+    benchmark::DoNotOptimize(
+        ref_validate_dataset(s.certs, s.members, s.world, kProbeDay));
+    benchmark::DoNotOptimize(
+        ref_issuer_matrix(s.certs, s.members, s.world.issuer_is_public));
+    benchmark::DoNotOptimize(
+        ref_issuer_report(s.certs, s.members, s.world.issuer_is_public));
+    benchmark::DoNotOptimize(ref_ct_report(s.certs, s.members, s.world));
   }
   state.counters["snis"] = kGroups * kShare;
 }

@@ -177,12 +177,13 @@ void BM_VendorJaccard64x1k(benchmark::State& state) {
 BENCHMARK(BM_VendorJaccard64x1k)->Unit(benchmark::kMillisecond);
 
 // Reference implementation of the pre-index algorithm: pairwise
-// std::set<std::string> intersection over the compatibility views. Kept in
-// the binary so the speedup of BM_VendorJaccard64x1k is always measurable
-// against the same build and inputs.
+// std::set<std::string> intersection over vendor -> fingerprint-key sets
+// built from the events. Kept in the binary so the speedup of
+// BM_VendorJaccard64x1k is always measurable against the same build and
+// inputs.
 void BM_VendorJaccardStringSets(benchmark::State& state) {
   const auto& ds = SyntheticContext::get().client;
-  const auto& vendor_fps = ds.vendor_fps();
+  const auto vendor_fps = bench::vendor_fp_strings(ds);
   for (auto _ : state) {
     std::vector<core::VendorSimilarity> out;
     for (auto a = vendor_fps.begin(); a != vendor_fps.end(); ++a) {

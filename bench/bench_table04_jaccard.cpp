@@ -26,10 +26,11 @@ double best_ms(int iters, F&& fn) {
   return best;
 }
 
-// Pre-index reference: pairwise string-set intersection over the
-// compatibility views, the algorithm the DatasetIndex bitsets replaced.
+// Pre-index reference: pairwise string-set intersection over vendor ->
+// fingerprint-key sets built from the events, the algorithm the
+// DatasetIndex bitsets replaced.
 std::size_t jaccard_string_sets(const core::ClientDataset& ds, double threshold) {
-  const auto& vendor_fps = ds.vendor_fps();
+  const auto vendor_fps = bench::vendor_fp_strings(ds);
   std::size_t kept = 0;
   for (auto a = vendor_fps.begin(); a != vendor_fps.end(); ++a) {
     for (auto b = std::next(a); b != vendor_fps.end(); ++b) {

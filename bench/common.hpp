@@ -4,6 +4,9 @@
 #pragma once
 
 #include <cstdio>
+#include <map>
+#include <set>
+#include <string>
 
 #include "core/cert_dataset.hpp"
 #include "core/dataset.hpp"
@@ -41,6 +44,15 @@ struct Context {
     return ctx;
   }
 };
+
+/// Vendor -> fingerprint keys, built from the parsed events: the string
+/// sets the pre-index Jaccard kernel ran on, kept as its reference input.
+inline std::map<std::string, std::set<std::string>> vendor_fp_strings(
+    const core::ClientDataset& ds) {
+  std::map<std::string, std::set<std::string>> out;
+  for (const core::ParsedEvent& e : ds.events()) out[e.vendor].insert(e.fp_key);
+  return out;
+}
 
 /// Synthetic fleet at the perf-acceptance scale: `vendors` vendors, one
 /// device each, proposing overlapping 250-wide windows of a `fps`-sized

@@ -22,10 +22,11 @@ int main() {
               fleet.devices.size(), fleet.users.size(), fleet.events.size());
 
   auto ds = core::ClientDataset::from_fleet(fleet);
-  std::printf("parsed: %zu events (%zu dropped), %zu distinct fingerprints, "
-              "%zu vendors, %zu SNIs\n\n",
-              ds.events().size(), ds.dropped_events(), ds.fingerprints().size(),
-              ds.vendors().size(), ds.snis().size());
+  const core::DatasetIndex& ix = ds.index();
+  std::printf("parsed: %zu events (%zu dropped), %u distinct fingerprints, "
+              "%u vendors, %u SNIs\n\n",
+              ds.events().size(), ds.dropped_events(), ix.fps().size(),
+              ix.vendors().size(), ix.snis().size());
 
   auto match = core::match_against_corpus(ds, corpus, days(2020, 8, 1));
   std::printf("library matches: %zu fingerprints (%s) against %zu libraries\n",
@@ -55,8 +56,8 @@ int main() {
   auto flows = core::classify_fingerprints(ds);
   std::map<std::string, std::pair<std::size_t, std::size_t>> per_vendor;  // vuln/total
   for (const auto& fs : flows) {
-    for (const std::string& vendor : ds.fp_vendors().at(fs.fp_key)) {
-      auto& [v, t] = per_vendor[vendor];
+    for (std::uint32_t vendor : ix.fp_vendors()[ix.fps().find(fs.fp_key)]) {
+      auto& [v, t] = per_vendor[ix.vendors().str(vendor)];
       ++t;
       if (!fs.vulnerable_tags.empty()) ++v;
     }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Run the robustness-labelled test suites (net, parser-fuzz, resilience)
-# under AddressSanitizer + UBSan, then the concurrency-labelled suites
+# under AddressSanitizer + UBSan, then the golden suite (`ctest -L golden`:
+# every stream report and the byte-stable paper bench outputs against
+# tests/golden/) under ASan too, then the concurrency-labelled suites
 # (parallel survey determinism, pool races) under ThreadSanitizer — so the
 # retry/breaker state machines, the fault-injection paths and the parallel
 # executor are sanitizer-clean on every change. A perf phase then runs the
@@ -35,6 +37,7 @@ cd "$(dirname "$0")/.."
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
 ctest --preset robustness-asan -j"$(nproc)" "$@"
+ctest --preset asan -L golden -j"$(nproc)" "$@"
 
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
@@ -43,10 +46,11 @@ ctest --preset concurrency-tsan -j"$(nproc)" "$@"
 cmake --preset default
 cmake --build --preset default -j"$(nproc)" \
   --target test_perf test_cert_pipeline test_stack_fingerprint test_fold_identity \
-  test_cert_fold_identity \
+  test_cert_fold_identity test_golden \
   bench_perf_pipeline bench_cert_pipeline \
   iotls_probe bench_obs_overhead bench_fleet_snapshot iotlsd iotls_audit
 ctest --preset default -L perf --output-on-failure
+ctest --preset default -L golden --output-on-failure
 # Median-of-5 aggregates; compare BENCH_pipeline.json / BENCH_certs.json
 # against the previous run's copies to spot regressions (both gitignored).
 ./build/bench/bench_perf_pipeline \

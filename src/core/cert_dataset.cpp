@@ -1,8 +1,8 @@
 #include "core/cert_dataset.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
-#include <string_view>
 
 #include "exec/pool.hpp"
 #include "obs/metrics.hpp"
@@ -30,27 +30,11 @@ const PostingList& row(const std::vector<PostingList>& lists, std::uint32_t id) 
   return id < lists.size() ? lists[id] : kEmpty;
 }
 
-std::set<std::string> names(const Interner& domain, const PostingList& ids) {
-  std::set<std::string> out;
-  for (std::uint32_t id : ids) out.insert(domain.str(id));
-  return out;
-}
-
-/// Add the members of `now` missing from `before` (both sorted-unique,
-/// `before` a subset of `now`) to `members`, listing them in `added`.
-void add_names(const Interner& domain, const PostingList& before,
-               const PostingList& now, std::set<std::string>& members,
-               std::vector<std::string_view>& added) {
-  added.clear();
-  auto seen = before.begin();
-  for (std::uint32_t id : now) {
-    if (seen != before.end() && *seen == id) {
-      ++seen;
-      continue;
-    }
-    members.insert(domain.str(id));
-    added.emplace_back(domain.str(id));
-  }
+/// The members of `now` missing from `before` (both sorted-unique).
+void gained(const PostingList& before, const PostingList& now, PostingList& out) {
+  out.clear();
+  std::set_difference(now.begin(), now.end(), before.begin(), before.end(),
+                      std::back_inserter(out));
 }
 
 }  // namespace
@@ -97,8 +81,7 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
         fresh.push_back(s);
       }
     } else if (row(cx.sni_devices(), s).size() > f.devices.size() ||
-               row(cx.sni_vendors(), s).size() > f.vendors.size() ||
-               row(cx.sni_users(), s).size() > f.users.size()) {
+               row(cx.sni_vendors(), s).size() > f.vendors.size()) {
       dirty.push_back(s);
     }
   }
@@ -116,9 +99,6 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
     SniRecord& record = out.record;
     const std::string& sni = cx.snis().str(s);
     record.sni = sni;
-    record.users = names(cx.users(), row(cx.sni_users(), s));
-    record.devices = names(cx.devices(), row(cx.sni_devices(), s));
-    record.vendors = names(cx.vendors(), row(cx.sni_vendors(), s));
 
     net::MultiVantageResult multi = prober.probe_all_vantages(sni);
     for (const auto& [vantage, result] : multi.by_vantage) {
@@ -152,8 +132,8 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
   });
 
   // Membership refresh of dirty records, at their current positions: only
-  // the members each gained are added to the record and the index.
-  std::vector<std::string_view> devices, vendors, users;
+  // the members each gained are added to the index.
+  PostingList devices, vendors;
   auto pos = records_.begin();
   for (std::uint32_t s : dirty) {
     const std::string& sni = cx.snis().str(s);
@@ -162,14 +142,12 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
                              return r.sni < key;
                            });
     FoldedSni& f = folded_[s];
-    add_names(cx.devices(), f.devices, row(cx.sni_devices(), s), pos->devices, devices);
-    add_names(cx.vendors(), f.vendors, row(cx.sni_vendors(), s), pos->vendors, vendors);
-    add_names(cx.users(), f.users, row(cx.sni_users(), s), pos->users, users);
+    gained(f.devices, row(cx.sni_devices(), s), devices);
+    gained(f.vendors, row(cx.sni_vendors(), s), vendors);
     index_.add_membership(static_cast<std::size_t>(pos - records_.begin()),
-                          *pos, devices, vendors, users);
+                          *pos, cx, devices, vendors);
     f.devices = row(cx.sni_devices(), s);
     f.vendors = row(cx.sni_vendors(), s);
-    f.users = row(cx.sni_users(), s);
   }
 
   // Sequential fold of the new records, SNI order: aggregation and the
@@ -190,10 +168,9 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
         for (const std::string& ip : p.record.server_ips) leaf.ips.insert(ip);
       }
     }
-    index_.record(p.record, p.leaf_fp);
     const std::uint32_t s = fresh[i];
-    folded_[s] = {true, row(cx.sni_devices(), s), row(cx.sni_vendors(), s),
-                  row(cx.sni_users(), s)};
+    index_.record(p.record, p.leaf_fp, cx, s);
+    folded_[s] = {true, row(cx.sni_devices(), s), row(cx.sni_vendors(), s)};
   }
 
   // Merge the new records into lexicographic order from the back; earlier
@@ -226,14 +203,15 @@ std::set<std::string> CertDataset::issuer_organizations() const {
 
 std::vector<SldPopularity> CertDataset::popular_slds(std::size_t n) const {
   std::map<std::string, SldPopularity> by_sld;
-  std::map<std::string, std::set<std::string>> sld_devices;
+  std::map<std::string, std::set<std::uint32_t>> sld_devices;
   for (const SniRecord& record : records_) {
     if (!record.reachable) continue;
     std::string sld = second_level_domain(record.sni);
     SldPopularity& row = by_sld[sld];
     row.sld = sld;
     ++row.servers;
-    for (const std::string& device : record.devices) sld_devices[sld].insert(device);
+    const PostingList& devices = index_.sni_devices()[index_.snis().find(record.sni)];
+    sld_devices[sld].insert(devices.begin(), devices.end());
   }
   std::vector<SldPopularity> rows;
   for (auto& [sld, row] : by_sld) {

@@ -19,7 +19,9 @@ class ValidationCache;
 
 namespace iotls::core {
 
-/// Per-SNI probe outcome (New York is the reference vantage, §5.1).
+/// Per-SNI probe outcome (New York is the reference vantage, §5.1). The
+/// devices and vendors that contacted the SNI live in the dataset's
+/// CertIndex (sni_devices / sni_vendors), not here.
 struct SniRecord {
   std::string sni;
   bool reachable = false;
@@ -29,9 +31,6 @@ struct SniRecord {
   std::vector<x509::Certificate> chain;
   bool served_misordered = false;
   std::map<net::VantagePoint, std::optional<std::string>> leaf_by_vantage;
-  std::set<std::string> devices;  // devices that contacted this SNI
-  std::set<std::string> vendors;
-  std::set<std::string> users;
   std::vector<std::string> server_ips;
   bool stapled = false;        // server answered status_request with a staple
   bool staple_valid = false;   // ...that verified against the responder key
@@ -93,9 +92,10 @@ class CertDataset {
   /// place. Walking the client index by SNI id, an SNI is *new* once its
   /// user posting list reaches `min_users` and it has no record yet: it is
   /// probed (in parallel, as in collect) and merged into records() in
-  /// lexicographic order. A recorded SNI is *dirty* when one of its
-  /// device/vendor/user posting lists grew since the fold that last read
-  /// it; only dirty records have their membership refreshed. Posting lists
+  /// lexicographic order. A recorded SNI is *dirty* when its device or
+  /// vendor posting list grew since the fold that last read it; only dirty
+  /// records have their membership refreshed. (A device has one user, so a
+  /// user new to an SNI always comes with a device new to it.) Posting lists
   /// only grow, so any split of one event stream into client epochs, each
   /// followed by a fold, yields the records, leaves and counters of one
   /// fold over the whole stream, and an index with the same content (ids
@@ -145,7 +145,7 @@ class CertDataset {
   /// the record dirty; the difference is the membership it gained.
   struct FoldedSni {
     bool recorded = false;
-    PostingList devices, vendors, users;
+    PostingList devices, vendors;
   };
 
   std::vector<SniRecord> records_;

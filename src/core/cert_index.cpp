@@ -14,16 +14,18 @@ void CertIndex::reserve(std::size_t expected_records) {
   sni_vendors_.reserve(expected_records);
 }
 
-void CertIndex::record(const SniRecord& rec,
-                       const std::string& leaf_fingerprint) {
+void CertIndex::record(const SniRecord& rec, const std::string& leaf_fingerprint,
+                       const DatasetIndex& client, std::uint32_t client_sni) {
   const std::uint32_t sni = snis_.intern(rec.sni);
-  for (const std::string& device : rec.devices) {
-    append_posting(sni_devices_, dirty_sni_devices_, sni, devices_.intern(device));
+  const PostingList& vendors = client.sni_vendors()[client_sni];
+  for (std::uint32_t device : client.sni_devices()[client_sni]) {
+    append_posting(sni_devices_, dirty_sni_devices_, sni,
+                   devices_.intern(client.devices().str(device)));
   }
-  for (const std::string& vendor : rec.vendors) {
-    append_posting(sni_vendors_, dirty_sni_vendors_, sni, vendors_.intern(vendor));
+  for (std::uint32_t vendor : vendors) {
+    append_posting(sni_vendors_, dirty_sni_vendors_, sni,
+                   vendors_.intern(client.vendors().str(vendor)));
   }
-  for (const std::string& user : rec.users) users_.intern(user);
 
   if (!rec.reachable || rec.chain.empty()) {
     pending_leaf_.push_back(kNone);
@@ -71,28 +73,29 @@ void CertIndex::record(const SniRecord& rec,
     append_posting(leaf_ips_, dirty_leaf_ips_, leaf, ips_.intern(ip));
   }
   append_posting(issuer_leaves_, dirty_issuer_leaves_, leaf_issuer_[leaf], leaf);
-  for (const std::string& vendor : rec.vendors) {
-    append_posting(vendor_leaves_, dirty_vendor_leaves_, vendors_.intern(vendor), leaf);
+  for (std::uint32_t vendor : vendors) {
+    append_posting(vendor_leaves_, dirty_vendor_leaves_,
+                   vendors_.find(client.vendors().str(vendor)), leaf);
   }
 }
 
 void CertIndex::add_membership(std::size_t pos, const SniRecord& rec,
-                               const std::vector<std::string_view>& devices,
-                               const std::vector<std::string_view>& vendors,
-                               const std::vector<std::string_view>& users) {
+                               const DatasetIndex& client,
+                               const PostingList& devices,
+                               const PostingList& vendors) {
   const std::uint32_t sni = snis_.find(rec.sni);
   const std::uint32_t leaf = record_leaf_[pos];
-  for (std::string_view device : devices) {
-    append_posting(sni_devices_, dirty_sni_devices_, sni, devices_.intern(device));
+  for (std::uint32_t device : devices) {
+    append_posting(sni_devices_, dirty_sni_devices_, sni,
+                   devices_.intern(client.devices().str(device)));
   }
-  for (std::string_view name : vendors) {
-    const std::uint32_t vendor = vendors_.intern(name);
+  for (std::uint32_t id : vendors) {
+    const std::uint32_t vendor = vendors_.intern(client.vendors().str(id));
     append_posting(sni_vendors_, dirty_sni_vendors_, sni, vendor);
     if (leaf != kNone) {
       append_posting(vendor_leaves_, dirty_vendor_leaves_, vendor, leaf);
     }
   }
-  for (std::string_view user : users) users_.intern(user);
 }
 
 void CertIndex::finalize(const std::vector<std::size_t>& at) {

@@ -9,7 +9,10 @@
 //  * leaves are deduplicated by SPKI+serial — each distinct certificate is
 //    fingerprinted and classified once, not once per serving SNI;
 //  * sni↔device/vendor/ip and vendor↔leaf/issuer↔leaf relations are sorted
-//    posting lists over interned ids;
+//    posting lists over interned ids. sni_devices/sni_vendors/vendor_leaves
+//    are the only cert-side store of which devices and vendors contact an
+//    SNI: the members come straight from the client DatasetIndex rows, and
+//    no record or report keeps a string copy of them;
 //  * the hex SHA-256 fingerprint of each distinct leaf is memoized, so no
 //    analysis downstream of collect() ever re-hashes a certificate.
 //
@@ -26,9 +29,9 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "core/index.hpp"
 #include "core/interner.hpp"
 #include "x509/certificate.hpp"
 
@@ -44,7 +47,6 @@ class CertIndex {
   const Interner& snis() const { return snis_; }
   const Interner& devices() const { return devices_; }
   const Interner& vendors() const { return vendors_; }
-  const Interner& users() const { return users_; }
   const Interner& ips() const { return ips_; }
   /// Leaf issuer organizations (Fig. 5 y-axis domain).
   const Interner& issuers() const { return issuers_; }
@@ -97,15 +99,16 @@ class CertIndex {
   /// Intern one new record. Within a fold, call in lexicographic SNI order.
   /// `leaf_fingerprint` is the precomputed hex fingerprint of the record's
   /// leaf (empty when unreachable or the chain is empty). The record's
-  /// columns wait for finalize() to place them.
-  void record(const SniRecord& rec, const std::string& leaf_fingerprint);
+  /// members are the devices and vendors of row `client_sni` of `client`.
+  /// The record's columns wait for finalize() to place them.
+  void record(const SniRecord& rec, const std::string& leaf_fingerprint,
+              const DatasetIndex& client, std::uint32_t client_sni);
 
   /// Fold the members an already-placed record gained: `pos` is its record
-  /// position, the lists hold only the newly added devices/vendors/users.
+  /// position, `devices`/`vendors` the client ids it newly gained.
   void add_membership(std::size_t pos, const SniRecord& rec,
-                      const std::vector<std::string_view>& devices,
-                      const std::vector<std::string_view>& vendors,
-                      const std::vector<std::string_view>& users);
+                      const DatasetIndex& client, const PostingList& devices,
+                      const PostingList& vendors);
 
   /// Close a fold: place the records given to record() since the last
   /// finalize at their record positions `at` (ascending, one per record in
@@ -120,7 +123,7 @@ class CertIndex {
     std::uint32_t leaf, from;
   };
 
-  Interner snis_, devices_, vendors_, users_, ips_, issuers_, spkis_, fps_;
+  Interner snis_, devices_, vendors_, ips_, issuers_, spkis_, fps_;
 
   // Per-leaf columns (leaf = distinct SPKI+serial identity), taken from the
   // lexicographically first serving record (`leaf_owner_`, an SNI id).

@@ -34,8 +34,6 @@ ChainReport validate_dataset(const CertDataset& certs,
     v.result = x509::validate_chain(record.chain, record.sni, world.trust,
                                     world.keys, now, cache);
     v.chain_length = record.chain.size();
-    v.devices = record.devices;
-    v.vendors = record.vendors;
     if (!record.chain.empty()) {
       v.leaf_issuer = record.chain.front().issuer.organization;
       auto it = world.issuer_is_public.find(v.leaf_issuer);
@@ -43,7 +41,14 @@ ChainReport validate_dataset(const CertDataset& certs,
     }
   });
 
-  // Sequential fold, record order: the seed aggregation, unchanged.
+  // Sequential fold, record order: the seed aggregation, with each SNI's
+  // devices and vendors read from the index.
+  const CertIndex& ix = certs.index();
+  auto add_members = [&](std::uint32_t sni, std::set<std::string>& devices,
+                         std::set<std::string>& vendors) {
+    for (std::uint32_t d : ix.sni_devices()[sni]) devices.insert(ix.devices().str(d));
+    for (std::uint32_t v : ix.sni_vendors()[sni]) vendors.insert(ix.vendors().str(v));
+  };
   std::map<std::string, DomainChainRow> failures;      // sld|issuer|status
   std::map<std::string, DomainChainRow> private_roots;
   std::map<std::string, DomainChainRow> self_signed;
@@ -54,6 +59,7 @@ ChainReport validate_dataset(const CertDataset& certs,
   for (std::size_t i = 0; i < reachable.size(); ++i) {
     const SniRecord& record = *reachable[i];
     SniValidation& v = validations[i];
+    const std::uint32_t sni = ix.snis().find(record.sni);
     ++report.validated;
     if (x509::chain_trusted(v.result.status)) ++report.trusted;
 
@@ -72,8 +78,7 @@ ChainReport validate_dataset(const CertDataset& certs,
       row.status = v.result.status;
       row.chain_lengths.insert(v.chain_length);
       ++row.fqdns;
-      for (const std::string& d : v.devices) row.devices.insert(d);
-      for (const std::string& vendor : v.vendors) row.vendors.insert(vendor);
+      add_members(sni, row.devices, row.vendors);
     };
 
     switch (v.result.status) {
@@ -96,8 +101,7 @@ ChainReport validate_dataset(const CertDataset& certs,
       row.sld = second_level_domain(v.sni);
       row.not_after = record.chain.front().not_after;
       row.issuer = v.leaf_issuer;
-      row.devices = v.devices;
-      row.vendors = v.vendors;
+      add_members(sni, row.devices, row.vendors);
       report.expired.push_back(std::move(row));
     }
     if (!v.result.hostname_ok && !record.chain.empty()) {

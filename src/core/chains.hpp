@@ -20,11 +20,11 @@ struct SniValidation {
   std::string leaf_issuer;
   bool leaf_issuer_public = true;
   std::size_t chain_length = 0;
-  std::set<std::string> devices;
-  std::set<std::string> vendors;
 };
 
-/// Table 7/14 row: one {SLD, issuer, status} aggregation.
+/// Table 7/14 row: one {SLD, issuer, status} aggregation. `devices` and
+/// `vendors` are the union of the aggregated SNIs' CertIndex rows, resolved
+/// to names for printing.
 struct DomainChainRow {
   std::string sld;
   std::string leaf_issuer;
@@ -35,7 +35,7 @@ struct DomainChainRow {
   std::set<std::string> vendors;
 };
 
-/// Table 8 row.
+/// Table 8 row; `devices`/`vendors` resolved from the SNI's CertIndex rows.
 struct ExpiredRow {
   std::string sni;
   std::string sld;

@@ -67,6 +67,7 @@ CtReport ct_report(const CertDataset& certs, const devicesim::SimWorld& world,
   // fingerprint taken from the index memo instead of re-hashed per use.
   CtReport report;
   std::set<std::uint32_t> long_private, all_private;  // distinct private fps
+  std::vector<const std::string*> vendors;
 
   for (std::size_t i = 0; i < records.size(); ++i) {
     const SniRecord& record = records[i];
@@ -76,10 +77,17 @@ CtReport ct_report(const CertDataset& certs, const devicesim::SimWorld& world,
     const std::string& leaf_fp = ix.fps().str(fp);
     const RecordClass& rc = classes[i];
 
-    for (const std::string& vendor : record.vendors) {
+    // One point per vendor, in vendor-name order.
+    vendors.clear();
+    for (std::uint32_t v : ix.sni_vendors()[ix.snis().find(record.sni)]) {
+      vendors.push_back(&ix.vendors().str(v));
+    }
+    std::sort(vendors.begin(), vendors.end(),
+              [](const std::string* a, const std::string* b) { return *a < *b; });
+    for (const std::string* vendor : vendors) {
       CtPoint point;
       point.sni = record.sni;
-      point.vendor = vendor;
+      point.vendor = *vendor;
       point.leaf_fingerprint = leaf_fp;
       point.leaf_issuer = leaf.issuer.organization;
       point.validity_days = leaf.validity_days();

@@ -1,7 +1,6 @@
 #include "core/dataset.hpp"
 
 #include <bit>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -14,54 +13,6 @@
 #include "util/error.hpp"
 
 namespace iotls::core {
-
-// ------------------------------------------------------------------ views
-//
-// Lazily-materialized string-keyed views over the DatasetIndex. Each view
-// is built at most once (std::call_once — accessors stay safe to call from
-// the parallel analysis phases) and reproduces the seed's eager std::map
-// byte for byte: same keys, same members, std::map/std::set ordering.
-
-namespace {
-
-std::map<std::string, std::set<std::string>> materialize(
-    const Interner& rows, const Interner& cols,
-    const std::vector<PostingList>& lists) {
-  std::map<std::string, std::set<std::string>> out;
-  for (std::uint32_t row = 0; row < lists.size(); ++row) {
-    std::set<std::string>& members = out[rows.str(row)];
-    for (std::uint32_t col : lists[row]) members.insert(cols.str(col));
-  }
-  return out;
-}
-
-}  // namespace
-
-struct ClientDataset::Views {
-  struct LazySetMap {
-    std::once_flag once;
-    std::map<std::string, std::set<std::string>> value;
-
-    const std::map<std::string, std::set<std::string>>& get(
-        const Interner& rows, const Interner& cols,
-        const std::vector<PostingList>& lists) {
-      std::call_once(once, [&] { value = materialize(rows, cols, lists); });
-      return value;
-    }
-  };
-
-  LazySetMap fp_vendors, fp_devices, fp_snis, vendor_fps, device_fps;
-  LazySetMap sni_devices, sni_vendors, sni_fps, sni_users;
-
-  std::once_flag fp_by_key_once;
-  std::map<std::string, tls::Fingerprint> fp_by_key;
-
-  std::once_flag device_vendor_once;
-  std::map<std::string, std::string> device_vendor;
-
-  std::once_flag device_type_once;
-  std::map<std::string, std::string> device_type;
-};
 
 /// The device table of the last `devices` argument: an open-addressing map
 /// from id hash to row, and each row's interned ids once the row has had a
@@ -133,68 +84,10 @@ struct ClientDataset::DeviceTable {
   }
 };
 
-ClientDataset::ClientDataset()
-    : devices_(std::make_unique<DeviceTable>()), views_(std::make_unique<Views>()) {}
+ClientDataset::ClientDataset() : devices_(std::make_unique<DeviceTable>()) {}
 ClientDataset::~ClientDataset() = default;
 ClientDataset::ClientDataset(ClientDataset&&) noexcept = default;
 ClientDataset& ClientDataset::operator=(ClientDataset&&) noexcept = default;
-
-const std::map<std::string, tls::Fingerprint>& ClientDataset::fingerprints() const {
-  std::call_once(views_->fp_by_key_once, [&] {
-    for (std::uint32_t f = 0; f < index_.fps().size(); ++f) {
-      views_->fp_by_key.emplace(index_.fps().str(f), index_.fp_value(f));
-    }
-  });
-  return views_->fp_by_key;
-}
-
-const std::map<std::string, std::set<std::string>>& ClientDataset::fp_vendors() const {
-  return views_->fp_vendors.get(index_.fps(), index_.vendors(), index_.fp_vendors());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::fp_devices() const {
-  return views_->fp_devices.get(index_.fps(), index_.devices(), index_.fp_devices());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::vendor_fps() const {
-  return views_->vendor_fps.get(index_.vendors(), index_.fps(), index_.vendor_fps());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::device_fps() const {
-  return views_->device_fps.get(index_.devices(), index_.fps(), index_.device_fps());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::sni_devices() const {
-  return views_->sni_devices.get(index_.snis(), index_.devices(), index_.sni_devices());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::sni_vendors() const {
-  return views_->sni_vendors.get(index_.snis(), index_.vendors(), index_.sni_vendors());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::sni_fps() const {
-  return views_->sni_fps.get(index_.snis(), index_.fps(), index_.sni_fps());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::sni_users() const {
-  return views_->sni_users.get(index_.snis(), index_.users(), index_.sni_users());
-}
-const std::map<std::string, std::set<std::string>>& ClientDataset::fp_snis() const {
-  return views_->fp_snis.get(index_.fps(), index_.snis(), index_.fp_snis());
-}
-
-const std::map<std::string, std::string>& ClientDataset::device_vendor() const {
-  std::call_once(views_->device_vendor_once, [&] {
-    for (std::uint32_t d = 0; d < index_.devices().size(); ++d) {
-      views_->device_vendor.emplace(index_.devices().str(d),
-                                    index_.vendors().str(index_.device_vendor(d)));
-    }
-  });
-  return views_->device_vendor;
-}
-
-const std::map<std::string, std::string>& ClientDataset::device_type() const {
-  std::call_once(views_->device_type_once, [&] {
-    for (std::uint32_t d = 0; d < index_.devices().size(); ++d) {
-      views_->device_type.emplace(index_.devices().str(d),
-                                  index_.types().str(index_.device_type(d)));
-    }
-  });
-  return views_->device_type;
-}
 
 // ------------------------------------------------------------------ parse
 
@@ -364,34 +257,6 @@ void ClientDataset::append_events(
   span.add_items(folded);
 }
 
-void ClientDataset::finalize() {
-  index_.finalize();
-  // The lazy views memoize via std::once_flag, which cannot be re-armed;
-  // invalidation is replacing the whole Views block.
-  views_ = std::make_unique<Views>();
-}
-
-std::set<std::string> ClientDataset::vendors() const {
-  std::set<std::string> out;
-  for (std::uint32_t v = 0; v < index_.vendors().size(); ++v) {
-    out.insert(index_.vendors().str(v));
-  }
-  return out;
-}
-
-std::set<std::string> ClientDataset::users() const {
-  std::set<std::string> out;
-  for (std::uint32_t u = 0; u < index_.users().size(); ++u) {
-    out.insert(index_.users().str(u));
-  }
-  return out;
-}
-
-std::vector<std::string> ClientDataset::snis() const {
-  std::vector<std::string> out;
-  out.reserve(index_.snis().size());
-  for (std::uint32_t sni : index_.snis_by_name()) out.push_back(index_.snis().str(sni));
-  return out;
-}
+void ClientDataset::finalize() { index_.finalize(); }
 
 }  // namespace iotls::core

@@ -4,15 +4,12 @@
 // parsed from capture bytes, fingerprinted, and joined with the device's
 // user label. Each distinct wire of an epoch is parsed once, however many
 // events carry it. All §4 analyses run off the interned DatasetIndex built
-// here; the string-keyed map accessors survive as lazily-materialized
-// compatibility views whose contents are byte-identical to the seed's
-// eagerly-built maps.
+// here, the only store of the vendor/device/SNI/fingerprint relations:
+// there are no string-keyed views of it.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -88,13 +85,13 @@ class ClientDataset {
   /// first miss of a call; a hit is always checked against the row's id. A
   /// repeated id resolves to its first row, as FleetDataset::find_device
   /// does. Rewriting a device's vendor, type or user in place between calls
-  /// is not detected. Call finalize() before reading the index or the views.
+  /// is not detected. Call finalize() before reading the index.
   void append_events(const std::vector<devicesim::ClientHelloEvent>& events,
                      const std::vector<devicesim::Device>& devices,
                      const tls::FingerprintOptions& opts = {}, int jobs = 1);
 
   /// Re-finalize the index after append_events (see DatasetIndex::finalize
-  /// for its cost) and invalidate the lazy string-keyed views.
+  /// for its cost).
   void finalize();
 
   /// When false, append_events folds every parsed event into the index but
@@ -113,45 +110,16 @@ class ClientDataset {
   std::size_t dropped_events() const { return dropped_.total(); }
   const DropCounts& drop_counts() const { return dropped_; }
 
-  /// The interned-id cross-index — the fast path every hot analysis uses.
+  /// The interned-id cross-index every §4 analysis reads.
   const DatasetIndex& index() const { return index_; }
 
-  // ------------------------------------------------------------ views
-  // String-keyed compatibility views, materialized lazily (thread-safe)
-  // from the index. Contents match the seed's eager maps byte for byte.
-
-  /// Distinct fingerprints (by key).
-  const std::map<std::string, tls::Fingerprint>& fingerprints() const;
-
-  const std::map<std::string, std::set<std::string>>& fp_vendors() const;
-  const std::map<std::string, std::set<std::string>>& fp_devices() const;
-  const std::map<std::string, std::set<std::string>>& vendor_fps() const;
-  const std::map<std::string, std::set<std::string>>& device_fps() const;
-  /// device id -> vendor name (devices with >= 1 parsed event).
-  const std::map<std::string, std::string>& device_vendor() const;
-  /// device id -> type label.
-  const std::map<std::string, std::string>& device_type() const;
-  /// SNI -> set of device ids / vendors / fingerprint keys seen toward it.
-  const std::map<std::string, std::set<std::string>>& sni_devices() const;
-  const std::map<std::string, std::set<std::string>>& sni_vendors() const;
-  const std::map<std::string, std::set<std::string>>& sni_fps() const;
-  const std::map<std::string, std::set<std::string>>& sni_users() const;
-  /// fingerprint key -> SNIs it was observed toward.
-  const std::map<std::string, std::set<std::string>>& fp_snis() const;
-
-  std::set<std::string> vendors() const;
-  std::set<std::string> users() const;
-  std::vector<std::string> snis() const;
-
  private:
-  struct Views;
   struct DeviceTable;
 
   std::unique_ptr<DeviceTable> devices_;
   std::vector<ParsedEvent> events_;
   DropCounts dropped_;
   DatasetIndex index_;
-  std::unique_ptr<Views> views_;
   bool retain_events_ = true;
 };
 

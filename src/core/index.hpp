@@ -6,9 +6,9 @@
 // Built in the sequential fold of ClientDataset::append_events (event
 // order), so ids and posting lists are bit-identical at every --jobs level.
 // The fold works on ids only: strings are interned when a device or a
-// fingerprint is first folded, never per event. The string-keyed map views
-// the report layer consumes are materialized lazily from this index and
-// match the seed maps byte for byte.
+// fingerprint is first folded, never per event. This index is the only
+// store of the client-side relations; no string-keyed view of it exists,
+// and readers resolve ids to strings only where they print them.
 #pragma once
 
 #include <compare>

@@ -28,7 +28,8 @@ LongitudinalReport longitudinal_analysis(const ClientDataset& ds,
     if (early.empty() || late.empty()) continue;  // not observed in both halves
     DeviceTimeline timeline;
     timeline.device_id = device;
-    timeline.vendor = ds.device_vendor().at(device);
+    const DatasetIndex& ix = ds.index();
+    timeline.vendor = ix.vendors().str(ix.device_vendor(ix.devices().find(device)));
     timeline.observed_in_both_halves = true;
     ++report.devices_observed_both_halves;
     for (const std::string& fp : early) {

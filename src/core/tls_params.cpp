@@ -49,8 +49,9 @@ VersionReport version_report(const ClientDataset& ds) {
   for (const auto& [device, versions] : device_versions) {
     if (versions.size() > 1) ++report.multi_version_devices;
   }
+  const DatasetIndex& ix = ds.index();
   for (const std::string& device : report.ssl30_devices) {
-    ++report.ssl30_by_vendor[ds.device_vendor().at(device)];
+    ++report.ssl30_by_vendor[ix.vendors().str(ix.device_vendor(ix.devices().find(device)))];
   }
   return report;
 }

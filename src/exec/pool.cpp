@@ -173,7 +173,8 @@ void parallel_for(int jobs, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(jobs);
+  // No more threads than shards: the caller plus at most n - 1 workers.
+  ThreadPool pool(static_cast<int>(std::min<std::size_t>(jobs, n)));
   pool.parallel_for(n, fn);
 }
 

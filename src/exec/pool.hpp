@@ -99,6 +99,7 @@ class ThreadPool {
 
 /// One-shot helper: shard [0, n) over `jobs` workers. `jobs <= 1` (after
 /// resolve_jobs) runs inline on the caller — the exact sequential loop.
+/// At most n - 1 worker threads are started, however large `jobs` is.
 void parallel_for(int jobs, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

@@ -482,13 +482,7 @@ SurveyReport TlsProber::survey_report(const std::vector<std::string>& snis) cons
     occupancy[g] = breaker.counts();
   };
 
-  const int jobs = exec::resolve_jobs(jobs_);
-  if (jobs <= 1 || groups.size() <= 1) {
-    for (std::size_t g = 0; g < groups.size(); ++g) run_group(g);
-  } else {
-    exec::ThreadPool pool(jobs);
-    pool.parallel_for(groups.size(), run_group);
-  }
+  exec::parallel_for(jobs_, groups.size(), run_group);
 
   for (const DegradationSummary& partial : partials) {
     report.summary.merge(partial);

@@ -403,13 +403,7 @@ StackSurvey StackFingerprinter::survey(
     }
   };
 
-  const int jobs = exec::resolve_jobs(jobs_);
-  if (jobs <= 1 || groups.size() <= 1) {
-    for (std::size_t g = 0; g < groups.size(); ++g) run_group(g);
-  } else {
-    exec::ThreadPool pool(jobs);
-    pool.parallel_for(groups.size(), run_group);
-  }
+  exec::parallel_for(jobs_, groups.size(), run_group);
 
   for (const StackSurveySummary& partial : partials) {
     survey.summary.merge(partial);

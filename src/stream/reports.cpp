@@ -20,8 +20,9 @@ obs::Json set_json(const std::set<std::string>& values) {
   return obs::Json(std::move(out));
 }
 
-obs::Json report_table02(const core::ClientDataset& ds) {
-  core::DegreeDistribution d = core::fingerprint_degree_distribution(ds);
+obs::Json report_table02(StreamIngest& ingest) {
+  core::DegreeDistribution d =
+      core::fingerprint_degree_distribution(ingest.client());
   return obs::Json(obs::Json::Object{
       {"table", "table02"},
       {"total", static_cast<std::int64_t>(d.total)},
@@ -33,10 +34,10 @@ obs::Json report_table02(const core::ClientDataset& ds) {
   });
 }
 
-obs::Json report_table03(const core::ClientDataset& ds) {
+obs::Json report_table03(StreamIngest& ingest) {
   obs::Json::Array rows;
   for (const core::VendorHeterogeneity& row :
-       core::vendor_heterogeneity_top(ds, 10)) {
+       core::vendor_heterogeneity_top(ingest.client(), 10)) {
     rows.emplace_back(obs::Json::Object{
         {"vendor", row.vendor},
         {"fingerprints", static_cast<std::int64_t>(row.fingerprints)},
@@ -48,9 +49,10 @@ obs::Json report_table03(const core::ClientDataset& ds) {
                                      {"rows", std::move(rows)}});
 }
 
-obs::Json report_table04(const core::ClientDataset& ds) {
+obs::Json report_table04(StreamIngest& ingest) {
   obs::Json::Array rows;
-  for (const core::VendorSimilarity& sim : core::vendor_similarities(ds, 0.2)) {
+  for (const core::VendorSimilarity& sim :
+       core::vendor_similarities(ingest.client(), 0.2)) {
     rows.emplace_back(obs::Json::Object{
         {"vendor_a", sim.vendor_a},
         {"vendor_b", sim.vendor_b},
@@ -62,10 +64,11 @@ obs::Json report_table04(const core::ClientDataset& ds) {
                                      {"rows", std::move(rows)}});
 }
 
-obs::Json report_table05(const core::ClientDataset& ds) {
+obs::Json report_table05(StreamIngest& ingest) {
   // The corpus is immutable reference data; one instance serves every call.
   static const corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
-  core::ServerTieReport tie = core::server_tied_fingerprints(ds, corpus);
+  core::ServerTieReport tie =
+      core::server_tied_fingerprints(ingest.client(), corpus);
   obs::Json::Array rows;
   for (const core::ServerTiedFingerprint& row : tie.cross_vendor_rows) {
     rows.emplace_back(obs::Json::Object{
@@ -84,7 +87,11 @@ obs::Json report_table05(const core::ClientDataset& ds) {
   });
 }
 
-obs::Json report_certs(const core::CertDataset& certs) {
+// The server-side reports below run only once the ingest has a resident
+// CertDataset (render_report checks).
+
+obs::Json report_certs(StreamIngest& ingest) {
+  const core::CertDataset& certs = *ingest.certs();
   core::CertDataset::SharingStats stats = certs.sharing_stats();
   return obs::Json(obs::Json::Object{
       {"report", "certs"},
@@ -116,9 +123,9 @@ obs::Json chain_rows_json(const std::vector<core::DomainChainRow>& rows) {
   return obs::Json(std::move(out));
 }
 
-obs::Json report_chains(StreamIngest& ingest, const core::CertDataset& certs) {
+obs::Json report_chains(StreamIngest& ingest) {
   core::ChainReport chains = core::validate_dataset(
-      certs, ingest.world(), ingest.config().validation_day,
+      *ingest.certs(), ingest.world(), ingest.config().validation_day,
       ingest.config().jobs, &ingest.validation_cache());
   obs::Json::Array expired;
   for (const core::ExpiredRow& row : chains.expired) {
@@ -141,9 +148,9 @@ obs::Json report_chains(StreamIngest& ingest, const core::CertDataset& certs) {
   });
 }
 
-obs::Json report_issuers(StreamIngest& ingest, const core::CertDataset& certs) {
+obs::Json report_issuers(StreamIngest& ingest) {
   core::IssuerReport issuers =
-      core::issuer_report(certs, ingest.world().issuer_is_public);
+      core::issuer_report(*ingest.certs(), ingest.world().issuer_is_public);
   obs::Json::Object share;
   for (const auto& [org, ratio] : issuers.issuer_share) {
     share.emplace_back(org, ratio);
@@ -162,9 +169,9 @@ obs::Json report_issuers(StreamIngest& ingest, const core::CertDataset& certs) {
   });
 }
 
-obs::Json report_ct(StreamIngest& ingest, const core::CertDataset& certs) {
+obs::Json report_ct(StreamIngest& ingest) {
   core::CtReport ct =
-      core::ct_report(certs, ingest.world(), ingest.config().jobs);
+      core::ct_report(*ingest.certs(), ingest.world(), ingest.config().jobs);
   obs::Json::Array anomalies;
   for (const core::CtPoint& p : ct.public_not_logged) {
     anomalies.emplace_back(obs::Json::Object{
@@ -188,24 +195,22 @@ obs::Json report_ct(StreamIngest& ingest, const core::CertDataset& certs) {
   });
 }
 
-/// Vendor sets per SNI, for annotating stack clusters with who talks to
-/// the servers behind them.
-std::map<std::string, const core::SniRecord*> record_index(
-    const core::CertDataset& certs) {
-  std::map<std::string, const core::SniRecord*> out;
-  for (const core::SniRecord& record : certs.records()) {
-    out[record.sni] = &record;
-  }
-  return out;
+/// Add the names of the vendors whose devices contact `sni` to `out`, for
+/// annotating stack results with who talks to the servers behind them.
+void add_vendors(const core::CertIndex& ix, const std::string& sni,
+                 std::set<std::string>& out) {
+  const std::uint32_t id = ix.snis().find(sni);
+  if (id == core::CertIndex::kNone) return;
+  for (std::uint32_t v : ix.sni_vendors()[id]) out.insert(ix.vendors().str(v));
 }
 
-obs::Json report_stacks(StreamIngest& ingest, const core::CertDataset& certs) {
+obs::Json report_stacks(StreamIngest& ingest) {
   // Server-side dual of Table 4/5: instead of clustering *clients* by the
   // fingerprints they send, cluster *servers* by the stack fingerprint the
   // battery elicits. Clusters are keyed on the New York / IPv4 digest (the
   // paper's primary vantage).
   const net::StackSurvey& survey = ingest.stacks();
-  auto record_of = record_index(certs);
+  const core::CertIndex& ix = ingest.certs()->index();
 
   struct Cluster {
     std::vector<std::string> servers;  // records() order == lexicographic
@@ -224,11 +229,7 @@ obs::Json report_stacks(StreamIngest& ingest, const core::CertDataset& certs) {
     ++fingerprinted;
     Cluster& cluster = clusters[fp->digest];
     cluster.servers.push_back(result.sni);
-    auto it = record_of.find(result.sni);
-    if (it != record_of.end()) {
-      cluster.vendors.insert(it->second->vendors.begin(),
-                             it->second->vendors.end());
-    }
+    add_vendors(ix, result.sni, cluster.vendors);
   }
 
   // Rows: clusters of >= 2 servers, largest first, digest breaking ties.
@@ -279,13 +280,12 @@ obs::Json report_stacks(StreamIngest& ingest, const core::CertDataset& certs) {
   });
 }
 
-obs::Json report_dualstack(StreamIngest& ingest,
-                           const core::CertDataset& certs) {
+obs::Json report_dualstack(StreamIngest& ingest) {
   // Table 16 extended across address families: does the v6 frontend serve
   // the same stack and certificate the v4 frontend does? Compared at New
   // York, the paper's primary vantage.
   const net::StackSurvey& survey = ingest.stacks();
-  auto record_of = record_index(certs);
+  const core::CertIndex& ix = ingest.certs()->index();
 
   std::size_t snis = 0;
   std::size_t v4_unanswered = 0;
@@ -318,8 +318,7 @@ obs::Json report_dualstack(StreamIngest& ingest,
     if (stack_div) ++stack_divergent;
     if (cert_div) ++cert_divergent;
     std::set<std::string> vendors;
-    auto it = record_of.find(result.sni);
-    if (it != record_of.end()) vendors = it->second->vendors;
+    add_vendors(ix, result.sni, vendors);
     rows.emplace_back(obs::Json::Object{
         {"sni", result.sni},
         {"stack_divergent", stack_div},
@@ -342,44 +341,54 @@ obs::Json report_dualstack(StreamIngest& ingest,
   });
 }
 
-obs::Json error_doc(const std::string& message) {
-  return obs::Json(obs::Json::Object{{"error", message}});
+struct Report {
+  const char* name;
+  bool needs_certs;
+  obs::Json (*render)(StreamIngest&);
+};
+
+/// Every report, in serving order.
+constexpr Report kReports[] = {
+    {"table02", false, report_table02}, {"table03", false, report_table03},
+    {"table04", false, report_table04}, {"table05", false, report_table05},
+    {"certs", true, report_certs},      {"chains", true, report_chains},
+    {"issuers", true, report_issuers},  {"ct", true, report_ct},
+    {"stacks", true, report_stacks},    {"dualstack", true, report_dualstack},
+};
+
+const Report* find_report(const std::string& name) {
+  for (const Report& report : kReports) {
+    if (name == report.name) return &report;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 const std::vector<std::string>& report_names() {
-  static const std::vector<std::string> names = {
-      "table02", "table03", "table04", "table05", "certs",
-      "chains",  "issuers", "ct",      "stacks",  "dualstack",
-  };
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const Report& report : kReports) out.emplace_back(report.name);
+    return out;
+  }();
   return names;
+}
+
+bool report_needs_certs(const std::string& name) {
+  const Report* report = find_report(name);
+  return report != nullptr && report->needs_certs;
 }
 
 std::optional<obs::Json> render_report(const std::string& name,
                                        StreamIngest& ingest) {
-  const core::ClientDataset& ds = ingest.client();
-  if (name == "table02") return report_table02(ds);
-  if (name == "table03") return report_table03(ds);
-  if (name == "table04") return report_table04(ds);
-  if (name == "table05") return report_table05(ds);
-
-  if (name == "certs" || name == "chains" || name == "issuers" ||
-      name == "ct" || name == "stacks" || name == "dualstack") {
-    const core::CertDataset* certs = ingest.certs();
-    if (certs == nullptr) {
-      return error_doc(ingest.config().certs
-                           ? "no epoch folded yet"
-                           : "daemon running without --certs");
-    }
-    if (name == "certs") return report_certs(*certs);
-    if (name == "chains") return report_chains(ingest, *certs);
-    if (name == "issuers") return report_issuers(ingest, *certs);
-    if (name == "stacks") return report_stacks(ingest, *certs);
-    if (name == "dualstack") return report_dualstack(ingest, *certs);
-    return report_ct(ingest, *certs);
+  const Report* report = find_report(name);
+  if (report == nullptr) return std::nullopt;
+  if (report->needs_certs && ingest.certs() == nullptr) {
+    return obs::Json(obs::Json::Object{
+        {"error", ingest.config().certs ? "no epoch folded yet"
+                                        : "daemon running without --certs"}});
   }
-  return std::nullopt;
+  return report->render(ingest);
 }
 
 }  // namespace iotls::stream

@@ -41,6 +41,10 @@ namespace iotls::stream {
 /// table is static; the handler answers 404-equivalent docs at runtime).
 const std::vector<std::string>& report_names();
 
+/// True for the server-side reports, which need an ingest with certs
+/// enabled; false for the client-side ones and for unknown names.
+bool report_needs_certs(const std::string& name);
+
 /// Render report `name` over the ingest's current datasets. nullopt for an
 /// unknown name. For a server-side report on an ingest without certs (or
 /// before the first fold), returns a {"error": ...} document.

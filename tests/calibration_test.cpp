@@ -29,8 +29,8 @@ const Calibration& cal() {
 
 TEST(Calibration, FleetScale) {
   EXPECT_EQ(cal().fleet.devices.size(), 2014u);
-  EXPECT_EQ(cal().ds.vendors().size(), 65u);
-  EXPECT_EQ(cal().ds.users().size(), 721u);
+  EXPECT_EQ(cal().ds.index().vendors().size(), 65u);
+  EXPECT_EQ(cal().ds.index().users().size(), 721u);
   // Paper: 11,439 ClientHellos; band ±30%.
   EXPECT_GT(cal().ds.events().size(), 8000u);
   EXPECT_LT(cal().ds.events().size(), 15000u);
@@ -39,8 +39,8 @@ TEST(Calibration, FleetScale) {
 
 TEST(Calibration, FingerprintUniverse) {
   // Paper: 903 fingerprints.
-  EXPECT_GT(cal().ds.fingerprints().size(), 780u);
-  EXPECT_LT(cal().ds.fingerprints().size(), 1020u);
+  EXPECT_GT(cal().ds.index().fps().size(), 780u);
+  EXPECT_LT(cal().ds.index().fps().size(), 1020u);
 }
 
 TEST(Calibration, DegreeDistribution) {

@@ -2,8 +2,9 @@
 // pipeline must be byte-identical to the pre-index sequential path.
 //
 // Each analysis is restated here exactly as the seed implemented it —
-// string-keyed maps over the `records()`/`leaves()` compatibility views,
-// re-hashing fingerprints per use, uncached signature verification — and
+// string-keyed maps over `records()`/`leaves()` and per-SNI member sets
+// built from the parsed events, re-hashing fingerprints per use, uncached
+// signature verification — and
 // both sides are serialized to canonical JSON (obs::Json preserves member
 // order) and compared as dump() strings at --jobs 1 and --jobs 8, with and
 // without a ValidationCache. Also covers the ValidationCache contract
@@ -35,6 +36,24 @@
 namespace iotls::core {
 namespace {
 
+/// The devices, vendors and users seen toward one SNI, as strings.
+struct SniMembers {
+  std::set<std::string> devices, vendors, users;
+};
+
+/// SNI -> members, built from the parsed events: the seed's per-SNI string
+/// sets, independent of both indexes.
+std::map<std::string, SniMembers> seed_members(const ClientDataset& client) {
+  std::map<std::string, SniMembers> out;
+  for (const ParsedEvent& e : client.events()) {
+    SniMembers& m = out[e.sni];
+    m.devices.insert(e.device_id);
+    m.vendors.insert(e.vendor);
+    m.users.insert(e.user);
+  }
+  return out;
+}
+
 struct Fixture {
   corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
   devicesim::ServerUniverse universe = devicesim::ServerUniverse::standard();
@@ -42,6 +61,7 @@ struct Fixture {
   ClientDataset client = ClientDataset::from_fleet(fleet);
   devicesim::SimWorld world = devicesim::build_world(universe);
   CertDataset certs = CertDataset::collect(client, world);
+  std::map<std::string, SniMembers> members = seed_members(client);
   std::int64_t probe_day = days(2022, 4, 15);
 };
 
@@ -64,7 +84,23 @@ obs::Json vec_json(const std::vector<std::string>& s) {
   return obs::Json(std::move(a));
 }
 
-obs::Json record_json(const SniRecord& r) {
+/// A record's members as the pipeline holds them: devices and vendors from
+/// the CertIndex, users from the client index.
+SniMembers index_members(const CertDataset& certs, const ClientDataset& client,
+                         const std::string& sni) {
+  SniMembers m;
+  const CertIndex& ix = certs.index();
+  const std::uint32_t s = ix.snis().find(sni);
+  for (std::uint32_t d : ix.sni_devices()[s]) m.devices.insert(ix.devices().str(d));
+  for (std::uint32_t v : ix.sni_vendors()[s]) m.vendors.insert(ix.vendors().str(v));
+  const DatasetIndex& cx = client.index();
+  for (std::uint32_t u : cx.sni_users()[cx.snis().find(sni)]) {
+    m.users.insert(cx.users().str(u));
+  }
+  return m;
+}
+
+obs::Json record_json(const SniRecord& r, const SniMembers& m) {
   obs::Json::Array chain;
   for (const x509::Certificate& cert : r.chain) {
     chain.push_back(obs::Json(cert.fingerprint()));
@@ -82,9 +118,9 @@ obs::Json record_json(const SniRecord& r) {
       {"chain", obs::Json(std::move(chain))},
       {"misordered", obs::Json(r.served_misordered)},
       {"by_vantage", obs::Json(std::move(by_vantage))},
-      {"devices", set_json(r.devices)},
-      {"vendors", set_json(r.vendors)},
-      {"users", set_json(r.users)},
+      {"devices", set_json(m.devices)},
+      {"vendors", set_json(m.vendors)},
+      {"users", set_json(m.users)},
       {"ips", vec_json(r.server_ips)},
       {"stapled", obs::Json(r.stapled)},
       {"staple_valid", obs::Json(r.staple_valid)},
@@ -92,10 +128,13 @@ obs::Json record_json(const SniRecord& r) {
 }
 
 obs::Json dataset_json(const std::vector<SniRecord>& records,
+                       const std::vector<SniMembers>& members,
                        const std::map<std::string, LeafRecord>& leaves,
                        std::size_t extracted, std::size_t reachable) {
   obs::Json::Array recs;
-  for (const SniRecord& r : records) recs.push_back(record_json(r));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    recs.push_back(record_json(records[i], members[i]));
+  }
   obs::Json::Array leaf_rows;
   for (const auto& [fp, leaf] : leaves) {
     leaf_rows.push_back(obs::Json(obs::Json::Object{
@@ -114,8 +153,12 @@ obs::Json dataset_json(const std::vector<SniRecord>& records,
   });
 }
 
-obs::Json dataset_json(const CertDataset& ds) {
-  return dataset_json(ds.records(), ds.leaves(), ds.extracted_snis(),
+obs::Json dataset_json(const CertDataset& ds, const ClientDataset& client) {
+  std::vector<SniMembers> members;
+  for (const SniRecord& r : ds.records()) {
+    members.push_back(index_members(ds, client, r.sni));
+  }
+  return dataset_json(ds.records(), members, ds.leaves(), ds.extracted_snis(),
                       ds.reachable_snis());
 }
 
@@ -130,8 +173,6 @@ obs::Json validation_json(const SniValidation& v) {
       {"chain_length", obs::Json(static_cast<std::int64_t>(v.chain_length))},
       {"leaf_issuer", obs::Json(v.leaf_issuer)},
       {"leaf_issuer_public", obs::Json(v.leaf_issuer_public)},
-      {"devices", set_json(v.devices)},
-      {"vendors", set_json(v.vendors)},
   });
 }
 
@@ -270,29 +311,32 @@ obs::Json ct_report_json(const CtReport& report) {
 // ------------------------------------------------- seed-path restatements
 //
 // These reproduce the pre-index implementations verbatim (modulo obs span
-// bookkeeping, which never affects results): sequential walks over the
-// string-keyed views, fingerprints re-hashed per use, verification uncached.
+// bookkeeping, which never affects results): sequential walks over
+// string-keyed maps, fingerprints re-hashed per use, verification uncached.
+// Per-SNI members come from seed_members(), where the seed kept them on
+// each record.
+
+using Members = std::map<std::string, SniMembers>;
 
 struct RefDataset {
   std::vector<SniRecord> records;
+  std::vector<SniMembers> members;  // parallel to `records`
   std::map<std::string, LeafRecord> leaves;
   std::size_t extracted = 0;
   std::size_t reachable = 0;
 };
 
-RefDataset ref_collect(const ClientDataset& client,
-                       const devicesim::SimWorld& world, std::size_t min_users) {
+RefDataset ref_collect(const Members& members, const devicesim::SimWorld& world,
+                       std::size_t min_users) {
   RefDataset ds;
   net::TlsProber prober(world.internet);
-  for (const auto& [sni, users] : client.sni_users()) {
-    if (users.size() < min_users) continue;
+  for (const auto& [sni, m] : members) {
+    if (m.users.size() < min_users) continue;
     ++ds.extracted;
 
     SniRecord record;
     record.sni = sni;
-    record.users = users;
-    record.devices = client.sni_devices().at(sni);
-    record.vendors = client.sni_vendors().at(sni);
+    ds.members.push_back(m);
 
     net::MultiVantageResult multi = prober.probe_all_vantages(sni);
     for (const auto& [vantage, result] : multi.by_vantage) {
@@ -330,7 +374,7 @@ RefDataset ref_collect(const ClientDataset& client,
   return ds;
 }
 
-ChainReport ref_validate_dataset(const CertDataset& certs,
+ChainReport ref_validate_dataset(const CertDataset& certs, const Members& members,
                                  const devicesim::SimWorld& world,
                                  std::int64_t now) {
   ChainReport report;
@@ -349,8 +393,7 @@ ChainReport ref_validate_dataset(const CertDataset& certs,
     v.result = x509::validate_chain(chain, record.sni, world.trust,
                                     world.keys, now);
     v.chain_length = record.chain.size();
-    v.devices = record.devices;
-    v.vendors = record.vendors;
+    const SniMembers& m = members.at(record.sni);
     if (!record.chain.empty()) {
       v.leaf_issuer = record.chain.front().issuer.organization;
       auto it = world.issuer_is_public.find(v.leaf_issuer);
@@ -374,8 +417,8 @@ ChainReport ref_validate_dataset(const CertDataset& certs,
       row.status = v.result.status;
       row.chain_lengths.insert(v.chain_length);
       ++row.fqdns;
-      for (const std::string& d : v.devices) row.devices.insert(d);
-      for (const std::string& vendor : v.vendors) row.vendors.insert(vendor);
+      for (const std::string& d : m.devices) row.devices.insert(d);
+      for (const std::string& vendor : m.vendors) row.vendors.insert(vendor);
     };
 
     switch (v.result.status) {
@@ -398,8 +441,8 @@ ChainReport ref_validate_dataset(const CertDataset& certs,
       row.sld = second_level_domain(v.sni);
       row.not_after = record.chain.front().not_after;
       row.issuer = v.leaf_issuer;
-      row.devices = v.devices;
-      row.vendors = v.vendors;
+      row.devices = m.devices;
+      row.vendors = m.vendors;
       report.expired.push_back(std::move(row));
     }
     if (!v.result.hostname_ok && !record.chain.empty()) {
@@ -426,13 +469,13 @@ ChainReport ref_validate_dataset(const CertDataset& certs,
 }
 
 std::map<std::string, std::map<std::string, std::size_t>>
-ref_vendor_issuer_counts(const CertDataset& certs) {
+ref_vendor_issuer_counts(const CertDataset& certs, const Members& members) {
   std::map<std::string, std::map<std::string, std::set<std::string>>>
       vendor_issuer_leaves;
   for (const SniRecord& record : certs.records()) {
     if (!record.reachable || record.chain.empty()) continue;
     const x509::Certificate& leaf = record.chain.front();
-    for (const std::string& vendor : record.vendors) {
+    for (const std::string& vendor : members.at(record.sni).vendors) {
       vendor_issuer_leaves[vendor][leaf.issuer.organization].insert(
           leaf.fingerprint());
     }
@@ -450,10 +493,10 @@ bool ref_is_public(const std::map<std::string, bool>& issuer_is_public,
   return it == issuer_is_public.end() ? true : it->second;
 }
 
-IssuerMatrix ref_issuer_matrix(const CertDataset& certs,
+IssuerMatrix ref_issuer_matrix(const CertDataset& certs, const Members& members,
                                const std::map<std::string, bool>& issuer_is_public) {
   IssuerMatrix matrix;
-  auto counts = ref_vendor_issuer_counts(certs);
+  auto counts = ref_vendor_issuer_counts(certs, members);
 
   std::map<std::string, std::size_t> issuer_totals;
   for (const auto& [fp, leaf] : certs.leaves()) {
@@ -494,7 +537,7 @@ IssuerMatrix ref_issuer_matrix(const CertDataset& certs,
   return matrix;
 }
 
-IssuerReport ref_issuer_report(const CertDataset& certs,
+IssuerReport ref_issuer_report(const CertDataset& certs, const Members& members,
                                const std::map<std::string, bool>& issuer_is_public) {
   IssuerReport report;
   report.leaves = certs.leaves().size();
@@ -514,7 +557,7 @@ IssuerReport ref_issuer_report(const CertDataset& certs,
         static_cast<double>(n) / static_cast<double>(report.leaves);
   }
 
-  auto counts = ref_vendor_issuer_counts(certs);
+  auto counts = ref_vendor_issuer_counts(certs, members);
   for (const auto& [vendor, issuers] : counts) {
     bool any_private = false;
     bool all_self = true;
@@ -549,7 +592,8 @@ ChainClass ref_classify_chain(const devicesim::SimWorld& world,
                          : ChainClass::kPrivateLeafPrivateRoot;
 }
 
-CtReport ref_ct_report(const CertDataset& certs, const devicesim::SimWorld& world) {
+CtReport ref_ct_report(const CertDataset& certs, const Members& members,
+                       const devicesim::SimWorld& world) {
   CtReport report;
   std::set<std::string> long_private, all_private;
 
@@ -559,7 +603,7 @@ CtReport ref_ct_report(const CertDataset& certs, const devicesim::SimWorld& worl
     ChainClass cls = ref_classify_chain(world, record.chain);
     bool logged = world.ct_index.logged(leaf.fingerprint());
 
-    for (const std::string& vendor : record.vendors) {
+    for (const std::string& vendor : members.at(record.sni).vendors) {
       CtPoint point;
       point.sni = record.sni;
       point.vendor = vendor;
@@ -619,24 +663,27 @@ CtReport ref_ct_report(const CertDataset& certs, const devicesim::SimWorld& worl
 
 TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
-  RefDataset ref = ref_collect(f.client, f.world, 1);
-  std::string want =
-      dataset_json(ref.records, ref.leaves, ref.extracted, ref.reachable).dump();
+  RefDataset ref = ref_collect(f.members, f.world, 1);
+  std::string want = dataset_json(ref.records, ref.members, ref.leaves,
+                                  ref.extracted, ref.reachable)
+                         .dump();
 
-  EXPECT_EQ(dataset_json(f.certs).dump(), want);  // fixture: jobs=1, no cache
+  // fixture: jobs=1, no cache
+  EXPECT_EQ(dataset_json(f.certs, f.client).dump(), want);
 
   auto j8 = CertDataset::collect(f.client, f.world, 1, 8);
-  EXPECT_EQ(dataset_json(j8).dump(), want);
+  EXPECT_EQ(dataset_json(j8, f.client).dump(), want);
 
   x509::ValidationCache cache;
   auto j8c = CertDataset::collect(f.client, f.world, 1, 8, &cache);
-  EXPECT_EQ(dataset_json(j8c).dump(), want);
+  EXPECT_EQ(dataset_json(j8c, f.client).dump(), want);
 }
 
 TEST(CertPipelineIdentity, ValidateMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
   std::string want =
-      chain_report_json(ref_validate_dataset(f.certs, f.world, f.probe_day)).dump();
+      chain_report_json(ref_validate_dataset(f.certs, f.members, f.world, f.probe_day))
+          .dump();
 
   EXPECT_EQ(chain_report_json(
                 validate_dataset(f.certs, f.world, f.probe_day, 1, nullptr))
@@ -658,16 +705,18 @@ TEST(CertPipelineIdentity, ValidateMatchesSeedAtEveryJobsLevel) {
 TEST(CertPipelineIdentity, IssuerAnalysesMatchSeed) {
   const auto& f = fixture();
   EXPECT_EQ(matrix_json(issuer_matrix(f.certs, f.world.issuer_is_public)).dump(),
-            matrix_json(ref_issuer_matrix(f.certs, f.world.issuer_is_public)).dump());
+            matrix_json(ref_issuer_matrix(f.certs, f.members, f.world.issuer_is_public))
+                .dump());
   EXPECT_EQ(
       issuer_report_json(issuer_report(f.certs, f.world.issuer_is_public)).dump(),
-      issuer_report_json(ref_issuer_report(f.certs, f.world.issuer_is_public))
+      issuer_report_json(
+          ref_issuer_report(f.certs, f.members, f.world.issuer_is_public))
           .dump());
 }
 
 TEST(CertPipelineIdentity, CtReportMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
-  std::string want = ct_report_json(ref_ct_report(f.certs, f.world)).dump();
+  std::string want = ct_report_json(ref_ct_report(f.certs, f.members, f.world)).dump();
   EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 1)).dump(), want);
   EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 8)).dump(), want);
 }
@@ -752,7 +801,7 @@ TEST(CertIndexTest, FingerprintDomainMatchesLeafView) {
   const auto& f = fixture();
   const CertIndex& ix = f.certs.index();
 
-  // Every distinct fingerprint in the string-keyed compat view is interned,
+  // Every distinct fingerprint in the leaves() map is interned,
   // and nothing else is.
   EXPECT_EQ(ix.fps().size(), f.certs.leaves().size());
   for (const auto& [fp, leaf] : f.certs.leaves()) {
@@ -813,13 +862,14 @@ TEST(CertIndexTest, PostingListsSortedUniqueAndComplete) {
     }
     // SPKI+serial dedup can fold several byte-identical-modulo-metadata
     // certificates into one leaf id, so the index's server set covers at
-    // least the compat view's.
+    // least the leaves() map's.
     for (const std::string& s : leaf.servers) {
       EXPECT_TRUE(servers.count(s)) << fp << " missing " << s;
     }
   }
 
-  // sni_devices/sni_vendors must agree with each record.
+  // sni_devices/sni_vendors must hold each record's members as the events
+  // give them.
   for (std::size_t i = 0; i < f.certs.records().size(); ++i) {
     const SniRecord& record = f.certs.records()[i];
     std::uint32_t sni = ix.snis().find(record.sni);
@@ -827,8 +877,8 @@ TEST(CertIndexTest, PostingListsSortedUniqueAndComplete) {
     std::set<std::string> devices, vendors;
     for (std::uint32_t d : ix.sni_devices()[sni]) devices.insert(ix.devices().str(d));
     for (std::uint32_t v : ix.sni_vendors()[sni]) vendors.insert(ix.vendors().str(v));
-    EXPECT_EQ(devices, record.devices) << record.sni;
-    EXPECT_EQ(vendors, record.vendors) << record.sni;
+    EXPECT_EQ(devices, f.members.at(record.sni).devices) << record.sni;
+    EXPECT_EQ(vendors, f.members.at(record.sni).vendors) << record.sni;
   }
 }
 

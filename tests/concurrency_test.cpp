@@ -11,6 +11,8 @@
 //     (attempts == 0) on every shard.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -214,6 +216,18 @@ TEST(ParallelSurvey, QuarantinedProbesKeepAttemptsZeroOnEveryShard) {
 
 // ------------------------------------------------- §4 analysis parallelism
 
+/// A posting table with its ids resolved to strings: row -> members.
+std::map<std::string, std::set<std::string>> resolved(
+    const core::Interner& rows, const core::Interner& cols,
+    const std::vector<core::PostingList>& lists) {
+  std::map<std::string, std::set<std::string>> out;
+  for (std::uint32_t row = 0; row < lists.size(); ++row) {
+    std::set<std::string>& members = out[rows.str(row)];
+    for (std::uint32_t col : lists[row]) members.insert(cols.str(col));
+  }
+  return out;
+}
+
 TEST(ParallelAnalysis, DatasetAndCorpusMatchEqualSequential) {
   devicesim::FleetConfig cfg;
   cfg.users = 30;  // small fleet: the suite also runs under TSan
@@ -231,11 +245,18 @@ TEST(ParallelAnalysis, DatasetAndCorpusMatchEqualSequential) {
     EXPECT_EQ(par.events()[i].sni, seq.events()[i].sni);
   }
   EXPECT_EQ(par.drop_counts().total(), seq.drop_counts().total());
-  EXPECT_EQ(par.fp_vendors(), seq.fp_vendors());
-  EXPECT_EQ(par.vendor_fps(), seq.vendor_fps());
-  EXPECT_EQ(par.sni_fps(), seq.sni_fps());
-  EXPECT_EQ(par.fp_snis(), seq.fp_snis());
-  ASSERT_EQ(par.fingerprints().size(), seq.fingerprints().size());
+  // Index content, with ids resolved to strings.
+  const core::DatasetIndex& p = par.index();
+  const core::DatasetIndex& s = seq.index();
+  EXPECT_EQ(resolved(p.fps(), p.vendors(), p.fp_vendors()),
+            resolved(s.fps(), s.vendors(), s.fp_vendors()));
+  EXPECT_EQ(resolved(p.vendors(), p.fps(), p.vendor_fps()),
+            resolved(s.vendors(), s.fps(), s.vendor_fps()));
+  EXPECT_EQ(resolved(p.snis(), p.fps(), p.sni_fps()),
+            resolved(s.snis(), s.fps(), s.sni_fps()));
+  EXPECT_EQ(resolved(p.fps(), p.snis(), p.fp_snis()),
+            resolved(s.fps(), s.snis(), s.fp_snis()));
+  ASSERT_EQ(p.fps().size(), s.fps().size());
 
   const std::int64_t ref_day = days(2020, 8, 1);
   auto match_seq = core::match_against_corpus(seq, corpus, ref_day, 1);

@@ -67,12 +67,15 @@ TEST(Dataset, ParsesAndIndexes) {
   auto ds = ClientDataset::from_fleet(mini_fleet());
   EXPECT_EQ(ds.events().size(), 7u);
   EXPECT_EQ(ds.dropped_events(), 0u);
-  EXPECT_EQ(ds.fingerprints().size(), 4u);
-  EXPECT_EQ(ds.vendors(), (std::set<std::string>{"VendorA", "VendorB"}));
-  EXPECT_EQ(ds.users().size(), 2u);
-  EXPECT_EQ(ds.snis().size(), 4u);
-  EXPECT_EQ(ds.device_fps().at("a1").size(), 3u);
-  EXPECT_EQ(ds.device_fps().at("b1").size(), 2u);
+  const DatasetIndex& ix = ds.index();
+  EXPECT_EQ(ix.fps().size(), 4u);
+  ASSERT_EQ(ix.vendors().size(), 2u);
+  EXPECT_EQ(ix.vendors().str(ix.vendors_by_name()[0]), "VendorA");
+  EXPECT_EQ(ix.vendors().str(ix.vendors_by_name()[1]), "VendorB");
+  EXPECT_EQ(ix.users().size(), 2u);
+  EXPECT_EQ(ix.snis().size(), 4u);
+  EXPECT_EQ(ix.device_fps()[ix.devices().find("a1")].size(), 3u);
+  EXPECT_EQ(ix.device_fps()[ix.devices().find("b1")].size(), 2u);
 }
 
 TEST(Dataset, DropsCorruptEvents) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -113,6 +114,31 @@ TEST(FreeParallelFor, CoversAllIndicesWhenParallel) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+/// Threads of this process right now.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(FreeParallelFor, StartsNoMoreWorkersThanShards) {
+  // 64 jobs over 2 shards: the caller runs one shard, so one worker is all
+  // the loop can use. A pool's workers exist from its construction until
+  // the loop returns, so every thread it started is visible from a shard.
+  const std::size_t before = thread_count();
+  std::atomic<std::size_t> most{0};
+  parallel_for(64, 2, [&](std::size_t) {
+    std::size_t now = thread_count();
+    std::size_t seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+  });
+  EXPECT_LE(most.load(), before + 1);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //
 // Property: the DatasetIndex-backed analyses reproduce the seed string-map
 // algorithms byte for byte. The seed implementations are re-stated here over
-// the compatibility views; both sides are serialized to canonical JSON and
-// compared as strings, at jobs=1 and jobs=8.
+// the seed's string maps, rebuilt from the parsed events; both sides are
+// serialized to canonical JSON and compared as strings, at jobs=1 and jobs=8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -163,12 +163,51 @@ devicesim::FleetDataset example_fleet() {
 
 // ------------------------------------------- seed reference algorithms
 // Verbatim re-statements of the pre-index implementations, running on the
-// string-keyed compatibility views.
+// seed's eagerly built string maps.
 
-std::vector<VendorSimilarity> ref_vendor_similarities(const ClientDataset& ds,
+using StringSets = std::map<std::string, std::set<std::string>>;
+
+/// The seed's string-keyed maps, built from the parsed events the way the
+/// seed built them, independent of the DatasetIndex.
+struct SeedMaps {
+  std::map<std::string, tls::Fingerprint> fingerprints;  // by key
+  StringSets fp_vendors, fp_devices, fp_snis, vendor_fps, device_fps;
+  StringSets sni_devices, sni_vendors, sni_fps, sni_users;
+  std::map<std::string, std::string> device_vendor, device_type;
+
+  explicit SeedMaps(const ClientDataset& ds) {
+    for (const ParsedEvent& e : ds.events()) {
+      fingerprints.emplace(e.fp_key, e.fp);
+      fp_vendors[e.fp_key].insert(e.vendor);
+      fp_devices[e.fp_key].insert(e.device_id);
+      fp_snis[e.fp_key].insert(e.sni);
+      vendor_fps[e.vendor].insert(e.fp_key);
+      device_fps[e.device_id].insert(e.fp_key);
+      sni_devices[e.sni].insert(e.device_id);
+      sni_vendors[e.sni].insert(e.vendor);
+      sni_fps[e.sni].insert(e.fp_key);
+      sni_users[e.sni].insert(e.user);
+      device_vendor.emplace(e.device_id, e.vendor);
+      device_type.emplace(e.device_id, e.type);
+    }
+  }
+};
+
+/// A posting table with its ids resolved to strings: row -> members.
+StringSets resolved(const Interner& rows, const Interner& cols,
+                    const std::vector<PostingList>& lists) {
+  StringSets out;
+  for (std::uint32_t row = 0; row < lists.size(); ++row) {
+    std::set<std::string>& members = out[rows.str(row)];
+    for (std::uint32_t col : lists[row]) members.insert(cols.str(col));
+  }
+  return out;
+}
+
+std::vector<VendorSimilarity> ref_vendor_similarities(const SeedMaps& ds,
                                                       double threshold) {
   std::vector<std::pair<std::string, const std::set<std::string>*>> vendors;
-  for (const auto& [vendor, fps] : ds.vendor_fps()) vendors.emplace_back(vendor, &fps);
+  for (const auto& [vendor, fps] : ds.vendor_fps) vendors.emplace_back(vendor, &fps);
 
   std::vector<VendorSimilarity> out;
   for (std::size_t i = 0; i < vendors.size(); ++i) {
@@ -195,16 +234,16 @@ std::vector<VendorSimilarity> ref_vendor_similarities(const ClientDataset& ds,
   return out;
 }
 
-std::map<std::string, double> ref_doc_per_device(const ClientDataset& ds) {
+std::map<std::string, double> ref_doc_per_device(const SeedMaps& ds) {
   std::map<std::string, std::map<std::string, std::size_t>> vendor_fp_devcount;
-  for (const auto& [device, fps] : ds.device_fps()) {
-    const std::string& vendor = ds.device_vendor().at(device);
+  for (const auto& [device, fps] : ds.device_fps) {
+    const std::string& vendor = ds.device_vendor.at(device);
     for (const std::string& key : fps) ++vendor_fp_devcount[vendor][key];
   }
   std::map<std::string, double> out;
-  for (const auto& [device, fps] : ds.device_fps()) {
+  for (const auto& [device, fps] : ds.device_fps) {
     if (fps.empty()) continue;
-    const std::string& vendor = ds.device_vendor().at(device);
+    const std::string& vendor = ds.device_vendor.at(device);
     std::size_t solo = 0;
     for (const std::string& key : fps) {
       if (vendor_fp_devcount[vendor][key] == 1) ++solo;
@@ -214,11 +253,11 @@ std::map<std::string, double> ref_doc_per_device(const ClientDataset& ds) {
   return out;
 }
 
-std::map<std::string, double> ref_doc_device_per_vendor(const ClientDataset& ds) {
+std::map<std::string, double> ref_doc_device_per_vendor(const SeedMaps& ds) {
   std::map<std::string, double> sums;
   std::map<std::string, std::size_t> counts;
   for (const auto& [device, doc] : ref_doc_per_device(ds)) {
-    const std::string& vendor = ds.device_vendor().at(device);
+    const std::string& vendor = ds.device_vendor.at(device);
     sums[vendor] += doc;
     ++counts[vendor];
   }
@@ -229,22 +268,22 @@ std::map<std::string, double> ref_doc_device_per_vendor(const ClientDataset& ds)
   return out;
 }
 
-std::map<std::string, double> ref_doc_vendor(const ClientDataset& ds) {
+std::map<std::string, double> ref_doc_vendor(const SeedMaps& ds) {
   std::map<std::string, double> out;
-  for (const auto& [vendor, fps] : ds.vendor_fps()) {
+  for (const auto& [vendor, fps] : ds.vendor_fps) {
     if (fps.empty()) continue;
     std::size_t solo = 0;
     for (const std::string& key : fps) {
-      if (ds.fp_vendors().at(key).size() == 1) ++solo;
+      if (ds.fp_vendors.at(key).size() == 1) ++solo;
     }
     out[vendor] = static_cast<double>(solo) / static_cast<double>(fps.size());
   }
   return out;
 }
 
-DegreeDistribution ref_degree_distribution(const ClientDataset& ds) {
+DegreeDistribution ref_degree_distribution(const SeedMaps& ds) {
   DegreeDistribution dist;
-  for (const auto& [key, vendors] : ds.fp_vendors()) {
+  for (const auto& [key, vendors] : ds.fp_vendors) {
     ++dist.total;
     std::size_t degree = vendors.size();
     if (degree == 1) ++dist.degree1;
@@ -255,18 +294,18 @@ DegreeDistribution ref_degree_distribution(const ClientDataset& ds) {
   return dist;
 }
 
-ServerTieReport ref_server_tied(const ClientDataset& ds,
+ServerTieReport ref_server_tied(const SeedMaps& ds,
                                 const corpus::LibraryCorpus& corpus) {
   ServerTieReport report;
-  report.total_snis = ds.sni_fps().size();
+  report.total_snis = ds.sni_fps.size();
   std::map<std::string, ServerTiedFingerprint> rows;
-  for (const auto& [sni, fps] : ds.sni_fps()) {
+  for (const auto& [sni, fps] : ds.sni_fps) {
     if (fps.size() != 1) continue;
     const std::string& fp_key = *fps.begin();
-    const tls::Fingerprint& fp = ds.fingerprints().at(fp_key);
+    const tls::Fingerprint& fp = ds.fingerprints.at(fp_key);
     if (corpus.best_match(fp) != nullptr) continue;
-    if (ds.fp_snis().at(fp_key).size() > 8) continue;
-    const auto& devices = ds.sni_devices().at(sni);
+    if (ds.fp_snis.at(fp_key).size() > 8) continue;
+    const auto& devices = ds.sni_devices.at(sni);
     if (devices.size() < 2) continue;
     ++report.tied_snis;
     std::string sld = second_level_domain(sni);
@@ -276,7 +315,7 @@ ServerTieReport ref_server_tied(const ClientDataset& ds,
     row.fqdns.insert(sni);
     row.vulnerable_tags = tls::list_vulnerable_components(fp.cipher_suites);
     for (const std::string& d : devices) row.devices.insert(d);
-    for (const std::string& v : ds.sni_vendors().at(sni)) row.vendors.insert(v);
+    for (const std::string& v : ds.sni_vendors.at(sni)) row.vendors.insert(v);
   }
   for (auto& [key, row] : rows) {
     if (row.vendors.size() < 2) continue;
@@ -380,25 +419,54 @@ std::string analysis_bundle(const ClientDataset& ds,
 
 // ------------------------------------------------------------ properties
 
+TEST(PerfProperty, IndexRelationsMatchSeedStringMaps) {
+  ClientDataset ds = ClientDataset::from_fleet(example_fleet());
+  const SeedMaps seed(ds);
+  const DatasetIndex& ix = ds.index();
+  EXPECT_EQ(resolved(ix.fps(), ix.vendors(), ix.fp_vendors()), seed.fp_vendors);
+  EXPECT_EQ(resolved(ix.fps(), ix.devices(), ix.fp_devices()), seed.fp_devices);
+  EXPECT_EQ(resolved(ix.fps(), ix.snis(), ix.fp_snis()), seed.fp_snis);
+  EXPECT_EQ(resolved(ix.vendors(), ix.fps(), ix.vendor_fps()), seed.vendor_fps);
+  EXPECT_EQ(resolved(ix.devices(), ix.fps(), ix.device_fps()), seed.device_fps);
+  EXPECT_EQ(resolved(ix.snis(), ix.devices(), ix.sni_devices()), seed.sni_devices);
+  EXPECT_EQ(resolved(ix.snis(), ix.vendors(), ix.sni_vendors()), seed.sni_vendors);
+  EXPECT_EQ(resolved(ix.snis(), ix.fps(), ix.sni_fps()), seed.sni_fps);
+  EXPECT_EQ(resolved(ix.snis(), ix.users(), ix.sni_users()), seed.sni_users);
+
+  std::map<std::string, std::string> device_vendor, device_type;
+  for (std::uint32_t d = 0; d < ix.devices().size(); ++d) {
+    device_vendor[ix.devices().str(d)] = ix.vendors().str(ix.device_vendor(d));
+    device_type[ix.devices().str(d)] = ix.types().str(ix.device_type(d));
+  }
+  EXPECT_EQ(device_vendor, seed.device_vendor);
+  EXPECT_EQ(device_type, seed.device_type);
+
+  ASSERT_EQ(ix.fps().size(), seed.fingerprints.size());
+  for (const auto& [key, fp] : seed.fingerprints) {
+    EXPECT_EQ(ix.fp_value(ix.fps().find(key)), fp) << key;
+  }
+}
+
 TEST(PerfProperty, IndexedAnalysesMatchSeedStringMapAlgorithms) {
   devicesim::FleetDataset fleet = example_fleet();
   ClientDataset ds = ClientDataset::from_fleet(fleet);
+  const SeedMaps seed(ds);
   corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
 
   EXPECT_EQ(sims_json(vendor_similarities(ds, 0.0)).dump(),
-            sims_json(ref_vendor_similarities(ds, 0.0)).dump());
+            sims_json(ref_vendor_similarities(seed, 0.0)).dump());
   EXPECT_EQ(sims_json(vendor_similarities(ds, 0.2)).dump(),
-            sims_json(ref_vendor_similarities(ds, 0.2)).dump());
+            sims_json(ref_vendor_similarities(seed, 0.2)).dump());
   EXPECT_EQ(doc_json(doc_per_device(ds)).dump(),
-            doc_json(ref_doc_per_device(ds)).dump());
+            doc_json(ref_doc_per_device(seed)).dump());
   EXPECT_EQ(doc_json(doc_device_per_vendor(ds)).dump(),
-            doc_json(ref_doc_device_per_vendor(ds)).dump());
-  EXPECT_EQ(doc_json(doc_vendor(ds)).dump(), doc_json(ref_doc_vendor(ds)).dump());
+            doc_json(ref_doc_device_per_vendor(seed)).dump());
+  EXPECT_EQ(doc_json(doc_vendor(ds)).dump(), doc_json(ref_doc_vendor(seed)).dump());
   EXPECT_EQ(degree_json(fingerprint_degree_distribution(ds)).dump(),
-            degree_json(ref_degree_distribution(ds)).dump());
+            degree_json(ref_degree_distribution(seed)).dump());
 
   ServerTieReport tied = server_tied_fingerprints(ds, corpus);
-  EXPECT_EQ(tied_json(tied).dump(), tied_json(ref_server_tied(ds, corpus)).dump());
+  EXPECT_EQ(tied_json(tied).dump(), tied_json(ref_server_tied(seed, corpus)).dump());
   // The constructed tied fingerprint must actually survive the filters,
   // otherwise this property would be vacuous for Table 5.
   ASSERT_FALSE(tied.cross_vendor_rows.empty());

@@ -50,6 +50,7 @@
 // (/metrics, /stats, /healthz, /readyz, /trace) during the run (with
 // `--serve-linger[=MS]` it stays up afterwards); `--trace-out=FILE` writes
 // the run's nested spans as Chrome trace-event JSON for Perfetto.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -139,14 +140,7 @@ int main(int argc, char** argv) {
       }
     }
     else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(argv[i] + 7, &end, 10);
-      if (end == argv[i] + 7 || *end != '\0') {
-        std::fprintf(stderr, "--jobs= wants a non-negative integer, got '%s'\n",
-                     argv[i] + 7);
-        return 2;
-      }
-      jobs = static_cast<int>(n);
+      if (!tools::parse_jobs(argv[i] + 7, &jobs)) return 2;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr, "%s", kUsage);
@@ -157,6 +151,16 @@ int main(int argc, char** argv) {
   if (paths.size() != want_paths ||
       (!snapshot_path.empty() && !export_snapshot_path.empty())) {
     std::fprintf(stderr, "%s", kUsage);
+    return 2;
+  }
+  if (!report_name.empty() &&
+      std::find(stream::report_names().begin(), stream::report_names().end(),
+                report_name) == stream::report_names().end()) {
+    std::fprintf(stderr, "unknown report: %s (known:", report_name.c_str());
+    for (const std::string& name : stream::report_names()) {
+      std::fprintf(stderr, " %s", name.c_str());
+    }
+    std::fprintf(stderr, ")\n");
     return 2;
   }
   if (!obs_cli.start()) return 2;
@@ -202,12 +206,9 @@ int main(int argc, char** argv) {
     // stream report is index/CertDataset-backed, so parsed rows need not
     // be retained — with a snapshot input the events stream through in
     // chunks and resident memory stays O(distinct fingerprints).
-    bool server_side = report_name == "certs" || report_name == "chains" ||
-                       report_name == "issuers" || report_name == "ct" ||
-                       report_name == "stacks" || report_name == "dualstack";
     stream::IngestConfig config;
     config.jobs = jobs;
-    config.certs = certs_mode || server_side;
+    config.certs = certs_mode || stream::report_needs_certs(report_name);
     config.fault = fault;
     config.retain_events = false;
     std::unique_ptr<stream::StreamIngest> ingest;
@@ -226,16 +227,8 @@ int main(int argc, char** argv) {
       ingest = std::make_unique<stream::StreamIngest>(fleet.devices, config);
       ingest->fold_epoch(fleet.events);
     }
-    auto doc = stream::render_report(report_name, *ingest);
-    if (!doc.has_value()) {
-      std::fprintf(stderr, "unknown report: %s (known:", report_name.c_str());
-      for (const std::string& name : stream::report_names()) {
-        std::fprintf(stderr, " %s", name.c_str());
-      }
-      std::fprintf(stderr, ")\n");
-      return 2;
-    }
-    std::printf("%s\n", doc->dump().c_str());
+    std::printf("%s\n",
+                stream::render_report(report_name, *ingest)->dump().c_str());
     std::fflush(stdout);
     if (stats == StatsMode::kText) {
       std::fprintf(stderr, "\n%s",
@@ -268,8 +261,9 @@ int main(int argc, char** argv) {
     std::printf("dropped: %zu unknown device, %zu no ClientHello, %zu parse error\n",
                 drops.unknown_device, drops.no_client_hello, drops.parse_error);
   }
-  std::printf("distinct fingerprints: %zu across %zu vendors and %zu SNIs\n\n",
-              ds.fingerprints().size(), ds.vendors().size(), ds.snis().size());
+  std::printf("distinct fingerprints: %u across %u vendors and %u SNIs\n\n",
+              ds.index().fps().size(), ds.index().vendors().size(),
+              ds.index().snis().size());
 
   auto degree = core::fingerprint_degree_distribution(ds);
   std::printf("fingerprint degree: %s single-vendor, %zu shared by 2, "

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     }
     else if (std::strcmp(argv[i], "--all") == 0) all = true;
     else if (has_prefix(argv[i], "--jobs=")) {
-      jobs = static_cast<int>(flag_u64(argv[i], "--jobs="));
+      if (!tools::parse_jobs(argv[i] + 7, &jobs)) return 2;
     }
     else if (std::strcmp(argv[i], "--stats") == 0) stats = StatsMode::kText;
     else if (std::strcmp(argv[i], "--stats=json") == 0) stats = StatsMode::kJson;

@@ -51,6 +51,7 @@
 #include "devicesim/fleet.hpp"
 #include "devicesim/scenario.hpp"
 #include "fleetio/snapshot.hpp"
+#include "obs_cli.hpp"
 #include "stream/daemon.hpp"
 #include "stream/source.hpp"
 #include "util/error.hpp"
@@ -153,8 +154,8 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--port=", 7) == 0 && parse_uint(arg + 7, &n) &&
         n <= 65535) {
       port = n;
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0 && parse_uint(arg + 7, &n)) {
-      config.jobs = static_cast<int>(n);
+    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
+      if (!tools::parse_jobs(arg + 7, &config.jobs)) return 2;
     } else if (std::strncmp(arg, "--epochs=", 9) == 0 &&
                parse_uint(arg + 9, &n) && n >= 1) {
       epochs = n;

@@ -17,6 +17,9 @@
 // returns true when it consumed the argument. The export plane and the
 // recorder are both off unless their flag appears, so tools pay nothing for
 // carrying this surface.
+//
+// The tools also share one parser for `--jobs=N` (parse_jobs), so every
+// tool accepts and rejects the same values.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,25 @@
 #include "obs/trace.hpp"
 
 namespace iotls::tools {
+
+/// Largest accepted `--jobs=N`. Worker threads are started per parallel
+/// stage, so a typo must not be able to ask for millions of them.
+inline constexpr unsigned long long kMaxJobs = 1024;
+
+/// Parse the value of `--jobs=N`: an integer in [0, kMaxJobs], 0 meaning
+/// hardware concurrency. Returns false, with a message naming the flag on
+/// stderr, for anything else.
+inline bool parse_jobs(const char* value, int* jobs) {
+  char* end = nullptr;
+  unsigned long long n = std::strtoull(value, &end, 10);
+  if (value[0] < '0' || value[0] > '9' || *end != '\0' || n > kMaxJobs) {
+    std::fprintf(stderr, "--jobs= wants an integer in [0,%llu], got '%s'\n",
+                 kMaxJobs, value);
+    return false;
+  }
+  *jobs = static_cast<int>(n);
+  return true;
+}
 
 struct ObsCli {
   bool serve = false;
