@@ -160,14 +160,45 @@ bool ref_is_public(const std::map<std::string, bool>& issuer_is_public,
   return it == issuer_is_public.end() ? true : it->second;
 }
 
-core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
-                                       const Members& members,
-                                       const devicesim::SimWorld& world,
-                                       std::int64_t now) {
-  core::ChainReport report;
-  std::map<std::string, core::DomainChainRow> failures;
-  std::map<std::string, core::DomainChainRow> private_roots;
-  std::map<std::string, core::DomainChainRow> self_signed;
+/// The seed's report shapes: members as name sets, validations and Fig. 6
+/// points by value.
+struct RefChainRow {
+  std::string sld;
+  std::string leaf_issuer;
+  x509::ChainStatus status = x509::ChainStatus::kOk;
+  std::set<std::size_t> chain_lengths;
+  std::size_t fqdns = 0;
+  std::set<std::string> devices, vendors;
+};
+
+struct RefExpiredRow {
+  std::string sni, sld;
+  std::int64_t not_after = 0;
+  std::string issuer;
+  std::set<std::string> devices, vendors;
+};
+
+struct RefChainReport {
+  std::vector<core::SniValidation> validations;
+  std::vector<RefChainRow> failure_rows, private_root_rows, self_signed_rows;
+  std::vector<RefExpiredRow> expired;
+  std::vector<core::SniValidation> cn_mismatches;
+  std::size_t validated = 0, trusted = 0;
+  double private_leaf_failure_ratio = 0;
+};
+
+struct RefCtReport : core::CtReport {
+  std::vector<core::CtPoint> points;
+};
+
+RefChainReport ref_validate_dataset(const core::CertDataset& certs,
+                                    const Members& members,
+                                    const devicesim::SimWorld& world,
+                                    std::int64_t now) {
+  RefChainReport report;
+  std::map<std::string, RefChainRow> failures;
+  std::map<std::string, RefChainRow> private_roots;
+  std::map<std::string, RefChainRow> self_signed;
   std::size_t private_leaves = 0;
   std::size_t private_leaf_failures = 0;
 
@@ -194,11 +225,11 @@ core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
       if (!x509::chain_trusted(v.result.status)) ++private_leaf_failures;
     }
 
-    auto aggregate = [&](std::map<std::string, core::DomainChainRow>& into) {
+    auto aggregate = [&](std::map<std::string, RefChainRow>& into) {
       std::string sld = second_level_domain(v.sni);
       std::string key = sld + "|" + v.leaf_issuer + "|" +
                         x509::chain_status_name(v.result.status);
-      core::DomainChainRow& row = into[key];
+      RefChainRow& row = into[key];
       row.sld = sld;
       row.leaf_issuer = v.leaf_issuer;
       row.status = v.result.status;
@@ -223,7 +254,7 @@ core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
     if (v.result.status == x509::ChainStatus::kSelfSigned) aggregate(self_signed);
 
     if (v.result.expired && !record.chain.empty()) {
-      core::ExpiredRow row;
+      RefExpiredRow row;
       row.sni = v.sni;
       row.sld = second_level_domain(v.sni);
       row.not_after = record.chain.front().not_after;
@@ -238,11 +269,11 @@ core::ChainReport ref_validate_dataset(const core::CertDataset& certs,
     report.validations.push_back(std::move(v));
   }
 
-  auto flatten = [](std::map<std::string, core::DomainChainRow>& from,
-                    std::vector<core::DomainChainRow>& into) {
+  auto flatten = [](std::map<std::string, RefChainRow>& from,
+                    std::vector<RefChainRow>& into) {
     for (auto& [key, row] : from) into.push_back(std::move(row));
     std::sort(into.begin(), into.end(),
-              [](const core::DomainChainRow& a, const core::DomainChainRow& b) {
+              [](const RefChainRow& a, const RefChainRow& b) {
                 return a.devices.size() > b.devices.size();
               });
   };
@@ -350,14 +381,14 @@ core::IssuerReport ref_issuer_report(
   return report;
 }
 
-core::CtReport ref_ct_report(const core::CertDataset& certs,
-                             const Members& members,
-                             const devicesim::SimWorld& world) {
+RefCtReport ref_ct_report(const core::CertDataset& certs,
+                          const Members& members,
+                          const devicesim::SimWorld& world) {
   auto issuer_public = [&](const std::string& org) {
     auto it = world.issuer_is_public.find(org);
     return it == world.issuer_is_public.end() ? true : it->second;
   };
-  core::CtReport report;
+  RefCtReport report;
   std::set<std::string> long_private, all_private;
   for (const core::SniRecord& record : certs.records()) {
     if (!record.reachable || record.chain.empty()) continue;
@@ -430,7 +461,10 @@ void run_interned(benchmark::State& state, int jobs) {
         core::validate_dataset(s.certs, s.world, kProbeDay, jobs, &cache));
     benchmark::DoNotOptimize(core::issuer_matrix(s.certs, s.world.issuer_is_public));
     benchmark::DoNotOptimize(core::issuer_report(s.certs, s.world.issuer_is_public));
-    benchmark::DoNotOptimize(core::ct_report(s.certs, s.world, jobs));
+    // The seed's ct report materialized every Fig. 6 point; so does this side.
+    core::CtMemo memo;
+    benchmark::DoNotOptimize(core::ct_report(s.certs, s.world, jobs, &memo));
+    benchmark::DoNotOptimize(core::ct_points(s.certs, s.world, jobs, &memo));
   }
   state.counters["snis"] = kGroups * kShare;
 }

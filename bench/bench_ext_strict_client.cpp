@@ -19,7 +19,7 @@ int main() {
 
   // Index validation outcomes by SNI.
   std::map<std::string, const core::SniValidation*> by_sni;
-  for (const core::SniValidation& v : report.validations) by_sni[v.sni] = &v;
+  for (const core::SniValidation* v : report.validations) by_sni[v->sni] = v;
 
   std::size_t connections = 0, refused = 0;
   std::map<std::string, std::size_t> refused_reason;

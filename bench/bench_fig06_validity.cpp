@@ -37,7 +37,7 @@ int main() {
 
   // Per-vendor validity summary split by chain class.
   std::map<std::string, std::vector<double>> public_validity, private_validity;
-  for (const auto& point : report.points) {
+  for (const auto& point : core::ct_points(ctx.certs, ctx.world)) {
     if (point.chain_class == core::ChainClass::kPublicLeafPublicRoot) {
       public_validity[point.vendor].push_back(static_cast<double>(point.validity_days));
     } else {

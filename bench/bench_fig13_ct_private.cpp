@@ -12,10 +12,9 @@ int main() {
   const auto& ctx = bench::Context::get();
   bench::banner("Fig. 13", "CT presence vs private-issuer chains");
 
-  auto report = core::ct_report(ctx.certs, ctx.world);
   std::map<std::string, std::pair<std::size_t, std::size_t>> by_class;  // in/out
   std::set<std::string> seen;
-  for (const auto& point : report.points) {
+  for (const auto& point : core::ct_points(ctx.certs, ctx.world)) {
     if (!seen.insert(point.leaf_fingerprint).second) continue;  // dedup leaves
     auto& [in_ct, not_in_ct] = by_class[core::chain_class_name(point.chain_class)];
     if (point.in_ct) ++in_ct;

@@ -43,14 +43,14 @@ int main() {
 
   std::printf("\nCommon Name mismatches (§5.3):\n");
   const core::CertIndex& ix = ctx.certs.index();
-  for (const auto& v : report.cn_mismatches) {
-    const std::uint32_t sni = ix.snis().find(v.sni);
-    std::set<std::string> names;
-    for (std::uint32_t id : ix.sni_vendors()[sni]) names.insert(ix.vendors().str(id));
+  for (const core::SniValidation* v : report.cn_mismatches) {
+    const std::uint32_t sni = ix.snis().find(v->sni);
     std::string vendors;
-    for (const auto& vendor : names) vendors += vendor + " ";
-    std::printf("  %-30s issuer=%-22s devices=%zu vendors=%s\n", v.sni.c_str(),
-                v.leaf_issuer.c_str(), ix.sni_devices()[sni].size(), vendors.c_str());
+    for (const auto& vendor : core::names(ix.vendors(), ix.sni_vendors()[sni])) {
+      vendors += vendor + " ";
+    }
+    std::printf("  %-30s issuer=%-22s devices=%zu vendors=%s\n", v->sni.c_str(),
+                v->leaf_issuer.c_str(), ix.sni_devices()[sni].size(), vendors.c_str());
   }
   std::printf("[paper: a2.tuyaus.com, Tuya-signed, visited by 3 Tuya devices]\n");
   return 0;

@@ -42,9 +42,9 @@ int main() {
     std::printf("  EXPIRED %-24s (%s) not_after=%s\n", row.sld.c_str(),
                 row.issuer.c_str(), format_date(row.not_after).c_str());
   }
-  for (const auto& v : chains.cn_mismatches) {
-    std::printf("  CN MISMATCH %s (issuer %s)\n", v.sni.c_str(),
-                v.leaf_issuer.c_str());
+  for (const core::SniValidation* v : chains.cn_mismatches) {
+    std::printf("  CN MISMATCH %s (issuer %s)\n", v->sni.c_str(),
+                v->leaf_issuer.c_str());
   }
 
   auto ct = core::ct_report(certs, world);

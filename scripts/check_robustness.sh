@@ -3,7 +3,8 @@
 # under AddressSanitizer + UBSan, then the golden suite (`ctest -L golden`:
 # every stream report and the byte-stable paper bench outputs against
 # tests/golden/) under ASan too, then the concurrency-labelled suites
-# (parallel survey determinism, pool races) under ThreadSanitizer — so the
+# (parallel survey determinism, pool races) and the daemon-labelled streaming
+# suites under ThreadSanitizer — so the
 # retry/breaker state machines, the fault-injection paths and the parallel
 # executor are sanitizer-clean on every change. A perf phase then runs the
 # pipeline benchmark suites (optimized build, 5 repetitions) and writes the
@@ -42,11 +43,15 @@ ctest --preset asan -L golden -j"$(nproc)" "$@"
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset concurrency-tsan -j"$(nproc)" "$@"
+# The streaming folds and the memoized report render path (test_stream,
+# test_fold_identity, test_cert_fold_identity, test_report_prefix: jobs 1
+# and 8, with and without faults) under TSan too.
+ctest --preset tsan -L daemon -j"$(nproc)" "$@"
 
 cmake --preset default
 cmake --build --preset default -j"$(nproc)" \
   --target test_perf test_cert_pipeline test_stack_fingerprint test_fold_identity \
-  test_cert_fold_identity test_golden \
+  test_cert_fold_identity test_report_prefix test_golden \
   bench_perf_pipeline bench_cert_pipeline \
   iotls_probe bench_obs_overhead bench_fleet_snapshot iotlsd iotls_audit
 ctest --preset default -L perf --output-on-failure

@@ -8,6 +8,7 @@ namespace iotls::core {
 
 void CertIndex::reserve(std::size_t expected_records) {
   snis_.reserve(expected_records);
+  record_sni_.reserve(expected_records);
   record_leaf_.reserve(expected_records);
   record_fp_.reserve(expected_records);
   sni_devices_.reserve(expected_records);
@@ -17,6 +18,7 @@ void CertIndex::reserve(std::size_t expected_records) {
 void CertIndex::record(const SniRecord& rec, const std::string& leaf_fingerprint,
                        const DatasetIndex& client, std::uint32_t client_sni) {
   const std::uint32_t sni = snis_.intern(rec.sni);
+  pending_sni_.push_back(sni);
   const PostingList& vendors = client.sni_vendors()[client_sni];
   for (std::uint32_t device : client.sni_devices()[client_sni]) {
     append_posting(sni_devices_, dirty_sni_devices_, sni,
@@ -102,20 +104,24 @@ void CertIndex::finalize(const std::vector<std::size_t>& at) {
   // Place this fold's record columns, filling from the back so the columns
   // of earlier records shift once each.
   std::size_t old = record_leaf_.size();
+  record_sni_.resize(old + pending_sni_.size());
   record_leaf_.resize(old + pending_leaf_.size());
   record_fp_.resize(old + pending_fp_.size());
   for (std::size_t k = record_leaf_.size(), j = pending_leaf_.size(); j > 0;) {
     --k;
     if (k == at[j - 1]) {
       --j;
+      record_sni_[k] = pending_sni_[j];
       record_leaf_[k] = pending_leaf_[j];
       record_fp_[k] = pending_fp_[j];
     } else {
       --old;
+      record_sni_[k] = record_sni_[old];
       record_leaf_[k] = record_leaf_[old];
       record_fp_[k] = record_fp_[old];
     }
   }
+  pending_sni_.clear();
   pending_leaf_.clear();
   pending_fp_.clear();
 

@@ -80,6 +80,10 @@ class CertIndex {
     return fp_validity_days_[fp];
   }
 
+  /// Record position -> SNI id. SNI ids are stable across folds; record
+  /// positions shift as later folds merge new records in, so per-record
+  /// memos (ChainMemo, CtMemo) key on this id.
+  const std::vector<std::uint32_t>& record_sni() const { return record_sni_; }
   /// Record position -> leaf id (kNone when unreachable or empty chain).
   const std::vector<std::uint32_t>& record_leaf() const { return record_leaf_; }
   /// Record position -> fingerprint id (kNone when no leaf).
@@ -136,8 +140,9 @@ class CertIndex {
   std::vector<std::uint32_t> fp_issuer_;
   std::vector<std::int64_t> fp_validity_days_;
 
-  std::vector<std::uint32_t> record_leaf_, record_fp_;
-  std::vector<std::uint32_t> pending_leaf_, pending_fp_;  // this fold's records
+  std::vector<std::uint32_t> record_sni_, record_leaf_, record_fp_;
+  // This fold's records, in record() order.
+  std::vector<std::uint32_t> pending_sni_, pending_leaf_, pending_fp_;
 
   std::vector<PostingList> sni_devices_, sni_vendors_;
   std::vector<PostingList> leaf_servers_, leaf_ips_;

@@ -38,63 +38,53 @@ ChainClass classify_chain(const devicesim::SimWorld& world,
                          : ChainClass::kPrivateLeafPrivateRoot;
 }
 
+/// Fill `memo` for every record with a chain that lacks CtFacts. Pure
+/// per-record reads of the world and index, so each slot is written by one
+/// worker and the schedule never shows in the result.
+void fill(const CertDataset& certs, const devicesim::SimWorld& world, int jobs,
+          CtMemo& memo) {
+  const CertIndex& ix = certs.index();
+  const std::vector<SniRecord>& records = certs.records();
+  memo.by_sni.resize(ix.snis().size());
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (ix.record_fp()[i] != CertIndex::kNone &&
+        !memo.by_sni[ix.record_sni()[i]].known) {
+      todo.push_back(i);
+    }
+  }
+  exec::parallel_for(jobs, todo.size(), [&](std::size_t k) {
+    const std::size_t i = todo[k];
+    const std::vector<x509::Certificate>& chain = records[i].chain;
+    CtFacts& facts = memo.by_sni[ix.record_sni()[i]];
+    facts.cls = classify_chain(world, chain);
+    facts.logged = world.ct_index.logged(ix.fps().str(ix.record_fp()[i]));
+    facts.leaf_public = issuer_public(world, chain.front().issuer.organization);
+    facts.known = true;
+  });
+}
+
 }  // namespace
 
 CtReport ct_report(const CertDataset& certs, const devicesim::SimWorld& world,
-                   int jobs) {
+                   int jobs, CtMemo* memo) {
+  CtMemo local;
+  if (memo == nullptr) memo = &local;
+  fill(certs, world, jobs, *memo);
   const CertIndex& ix = certs.index();
   const std::vector<SniRecord>& records = certs.records();
 
-  // Parallel stage: per-record chain classification and CT lookup into
-  // pre-sized slots (all pure reads of the world + index).
-  struct RecordClass {
-    ChainClass cls = ChainClass::kPublicLeafPublicRoot;
-    bool logged = false;
-    bool leaf_public = false;
-  };
-  std::vector<RecordClass> classes(records.size());
-  exec::parallel_for(jobs, records.size(), [&](std::size_t i) {
-    const SniRecord& record = records[i];
-    if (!record.reachable || record.chain.empty()) return;
-    RecordClass& rc = classes[i];
-    rc.cls = classify_chain(world, record.chain);
-    rc.logged = world.ct_index.logged(ix.fps().str(ix.record_fp()[i]));
-    rc.leaf_public =
-        issuer_public(world, record.chain.front().issuer.organization);
-  });
-
-  // Sequential fold, record order: the seed aggregation, with the leaf
-  // fingerprint taken from the index memo instead of re-hashed per use.
+  // Sequential fold, record order: the seed aggregation on ids, with the
+  // leaf fingerprint taken from the index memo instead of re-hashed per use.
   CtReport report;
-  std::set<std::uint32_t> long_private, all_private;  // distinct private fps
-  std::vector<const std::string*> vendors;
-
+  std::vector<std::uint8_t> private_fp(ix.fps().size());  // 1 private, 2 long
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const SniRecord& record = records[i];
-    if (!record.reachable || record.chain.empty()) continue;
-    const x509::Certificate& leaf = record.chain.front();
     const std::uint32_t fp = ix.record_fp()[i];
-    const std::string& leaf_fp = ix.fps().str(fp);
-    const RecordClass& rc = classes[i];
-
-    // One point per vendor, in vendor-name order.
-    vendors.clear();
-    for (std::uint32_t v : ix.sni_vendors()[ix.snis().find(record.sni)]) {
-      vendors.push_back(&ix.vendors().str(v));
-    }
-    std::sort(vendors.begin(), vendors.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    for (const std::string* vendor : vendors) {
-      CtPoint point;
-      point.sni = record.sni;
-      point.vendor = *vendor;
-      point.leaf_fingerprint = leaf_fp;
-      point.leaf_issuer = leaf.issuer.organization;
-      point.validity_days = leaf.validity_days();
-      point.chain_class = rc.cls;
-      point.in_ct = rc.logged;
-      report.points.push_back(std::move(point));
-    }
+    if (fp == CertIndex::kNone) continue;  // unreachable, or no chain
+    const std::uint32_t sni = ix.record_sni()[i];
+    const CtFacts& rc = memo->by_sni[sni];
+    const std::int64_t validity = ix.fp_validity_days(fp);
+    report.tuples += ix.sni_vendors()[sni].size();
 
     if (rc.leaf_public) {
       ++report.public_leaves;
@@ -102,29 +92,27 @@ CtReport ct_report(const CertDataset& certs, const devicesim::SimWorld& world,
         ++report.public_leaves_in_ct;
       } else {
         CtPoint anomaly;
-        anomaly.sni = record.sni;
-        anomaly.leaf_issuer = leaf.issuer.organization;
-        anomaly.leaf_fingerprint = leaf_fp;
-        anomaly.validity_days = leaf.validity_days();
+        anomaly.sni = records[i].sni;
+        anomaly.leaf_issuer = records[i].chain.front().issuer.organization;
+        anomaly.leaf_fingerprint = ix.fps().str(fp);
+        anomaly.validity_days = validity;
         anomaly.chain_class = rc.cls;
         report.public_not_logged.push_back(std::move(anomaly));
       }
-      report.max_public_validity =
-          std::max(report.max_public_validity, leaf.validity_days());
+      report.max_public_validity = std::max(report.max_public_validity, validity);
     } else {
       ++report.private_leaves;
       if (rc.logged) ++report.private_leaves_in_ct;
-      all_private.insert(fp);
-      if (leaf.validity_days() > 5 * 365) long_private.insert(fp);
-      report.max_private_validity =
-          std::max(report.max_private_validity, leaf.validity_days());
+      private_fp[fp] = validity > 5 * 365 ? 2 : 1;
+      report.max_private_validity = std::max(report.max_private_validity, validity);
     }
   }
-  report.tuples = report.points.size();
+  const auto all_private = static_cast<std::size_t>(
+      std::count_if(private_fp.begin(), private_fp.end(), [](std::uint8_t f) { return f != 0; }));
+  const auto long_private =
+      static_cast<std::size_t>(std::count(private_fp.begin(), private_fp.end(), 2));
   report.private_long_validity_ratio =
-      all_private.empty()
-          ? 0
-          : static_cast<double>(long_private.size()) / all_private.size();
+      all_private == 0 ? 0 : static_cast<double>(long_private) / all_private;
 
   // Deduplicate the public-not-logged anomalies by leaf.
   std::sort(report.public_not_logged.begin(), report.public_not_logged.end(),
@@ -138,6 +126,35 @@ CtReport ct_report(const CertDataset& certs, const devicesim::SimWorld& world,
                   }),
       report.public_not_logged.end());
   return report;
+}
+
+std::vector<CtPoint> ct_points(const CertDataset& certs,
+                               const devicesim::SimWorld& world, int jobs,
+                               CtMemo* memo) {
+  CtMemo local;
+  if (memo == nullptr) memo = &local;
+  fill(certs, world, jobs, *memo);
+  const CertIndex& ix = certs.index();
+  const std::vector<SniRecord>& records = certs.records();
+  std::vector<CtPoint> points;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::uint32_t fp = ix.record_fp()[i];
+    if (fp == CertIndex::kNone) continue;
+    const std::uint32_t sni = ix.record_sni()[i];
+    const CtFacts& rc = memo->by_sni[sni];
+    for (const std::string& vendor : names(ix.vendors(), ix.sni_vendors()[sni])) {
+      CtPoint point;
+      point.sni = records[i].sni;
+      point.vendor = vendor;
+      point.leaf_fingerprint = ix.fps().str(fp);
+      point.leaf_issuer = records[i].chain.front().issuer.organization;
+      point.validity_days = ix.fp_validity_days(fp);
+      point.chain_class = rc.cls;
+      point.in_ct = rc.logged;
+      points.push_back(std::move(point));
+    }
+  }
+  return points;
 }
 
 std::vector<IssuerValidityRow> issuer_validity_variance(

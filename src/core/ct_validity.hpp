@@ -32,9 +32,24 @@ struct CtPoint {
   bool in_ct = false;
 };
 
+/// The CT facts of one record with a chain: pure functions of the chain
+/// and the world.
+struct CtFacts {
+  bool known = false;  // filled
+  ChainClass cls = ChainClass::kPublicLeafPublicRoot;
+  bool logged = false;
+  bool leaf_public = false;
+};
+
+/// Each record's CtFacts, keyed by CertIndex SNI id. Like ChainMemo, a memo
+/// serves one growing dataset and one world; the streaming ingest keeps one
+/// beside its resident CertDataset.
+struct CtMemo {
+  std::vector<CtFacts> by_sni;
+};
+
 struct CtReport {
-  std::vector<CtPoint> points;       // all {server, leaf, vendor} tuples
-  std::size_t tuples = 0;
+  std::size_t tuples = 0;  // {server, leaf, vendor} tuples (see ct_points)
 
   // Aggregates.
   std::size_t public_leaves = 0;
@@ -50,13 +65,22 @@ struct CtReport {
   std::int64_t max_private_validity = 0;
 };
 
-/// `jobs` shards the per-record classification/CT-lookup stage across
-/// worker threads (1 = sequential, 0 = hardware concurrency); aggregation
-/// runs in record order, so the report is byte-identical at every jobs
-/// level. Leaf fingerprints come from the dataset's index memo — no
+/// Only records without an entry in `memo` are classified and looked up in
+/// CT; without a memo (batch) a fresh one is made. `jobs` shards that stage
+/// across worker threads (1 = sequential, 0 = hardware concurrency); the
+/// aggregation runs in record order on ids, so the report is byte-identical
+/// at every jobs level. Tuples are counted from the SNIs' vendor rows, not
+/// materialized. Leaf fingerprints come from the dataset's index memo — no
 /// certificate is re-hashed here.
 CtReport ct_report(const CertDataset& certs, const devicesim::SimWorld& world,
-                   int jobs = 1);
+                   int jobs = 1, CtMemo* memo = nullptr);
+
+/// Fig. 6's points: one per {server, leaf, vendor} tuple, in record order
+/// and vendor-name order within a record. `jobs` and `memo` as in
+/// ct_report.
+std::vector<CtPoint> ct_points(const CertDataset& certs,
+                               const devicesim::SimWorld& world, int jobs = 1,
+                               CtMemo* memo = nullptr);
 
 /// Table 9: validity variance of one private issuer (Netflix in the paper).
 struct IssuerValidityRow {

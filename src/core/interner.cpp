@@ -105,6 +105,12 @@ void merge_dirty_rows(std::vector<PostingList>& lists, DirtyRows& dirty) {
   dirty.clear();
 }
 
+std::set<std::string> names(const Interner& domain, const PostingList& ids) {
+  std::set<std::string> out;
+  for (std::uint32_t id : ids) out.insert(domain.str(id));
+  return out;
+}
+
 std::size_t intersect_count(const PostingList& a, const PostingList& b) {
   const PostingList& small = a.size() <= b.size() ? a : b;
   const PostingList& large = a.size() <= b.size() ? b : a;

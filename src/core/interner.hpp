@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -139,6 +140,35 @@ inline void append_posting(std::vector<PostingList>& lists, DirtyRows& dirty,
 /// O(tail log row) compares plus the shifted elements. Clean rows are not
 /// touched.
 void merge_dirty_rows(std::vector<PostingList>& lists, DirtyRows& dirty);
+
+/// Unions of posting lists over one id domain, one group at a time, without
+/// sorting a concatenation: add() appends a member the first time the
+/// current group meets it. How a report row unions its SNIs' rows.
+class UnionBuilder {
+ public:
+  /// Start a new group over a domain of `size` ids.
+  void start(std::size_t size) {
+    if (mark_.size() < size) mark_.resize(size, 0);
+    ++group_;
+  }
+  /// Append the members of `list` new to this group to `into` (unsorted).
+  void add(const PostingList& list, PostingList& into) {
+    for (std::uint32_t id : list) {
+      if (mark_[id] != group_) {
+        mark_[id] = group_;
+        into.push_back(id);
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint32_t> mark_;  // id -> last group that took it
+  std::uint32_t group_ = 0;
+};
+
+/// The strings behind `ids`, in lexicographic order: how a report prints the
+/// members of a row it aggregated on ids.
+std::set<std::string> names(const Interner& domain, const PostingList& ids);
 
 /// |a ∩ b| of two sorted-unique lists (linear merge with galloping skip for
 /// lopsided sizes).

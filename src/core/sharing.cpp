@@ -55,47 +55,74 @@ std::vector<SimilarityBucket> bucket_similarities(
 }
 
 ServerTieReport server_tied_fingerprints(const ClientDataset& ds,
-                                         const corpus::LibraryCorpus& corpus) {
+                                         const corpus::LibraryCorpus& corpus,
+                                         TieMemo* memo) {
+  TieMemo local;
+  if (memo == nullptr) memo = &local;
   const DatasetIndex& ix = ds.index();
+  memo->by_fp.resize(ix.fps().size());
+  memo->sld_of.resize(ix.snis().size(), Interner::kNone);
   ServerTieReport report;
   report.total_snis = ix.snis().size();
 
   // For a fingerprint to be "tied" to a server, it must be server-specific:
   // the ONLY fingerprint those devices present to this server, observed
-  // from multiple devices, and not matching any standard library.
-  std::map<std::string, ServerTiedFingerprint> rows;  // key: sld|fp
+  // from multiple devices, and not matching any standard library. Tied
+  // SNIs group into {SLD, fingerprint} rows, in SNI name order.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::uint32_t>>
+      groups;  // (sld id, fp id) -> SNI ids
   for (std::uint32_t sni : ix.snis_by_name()) {
     const PostingList& fps = ix.sni_fps()[sni];
     if (fps.size() != 1) continue;  // not server-specific
-    std::uint32_t f = fps.front();
-    const tls::Fingerprint& fp = ix.fp_value(f);
-    if (corpus.best_match(fp) != nullptr) continue;  // standard library
+    const std::uint32_t f = fps.front();
+    TieFacts& facts = memo->by_fp[f];
+    if (!facts.known) {
+      const tls::Fingerprint& fp = ix.fp_value(f);
+      facts.library = corpus.best_match(fp) != nullptr;
+      if (!facts.library) {
+        facts.vulnerable_tags = tls::list_vulnerable_components(fp.cipher_suites);
+      }
+      facts.known = true;
+    }
+    if (facts.library) continue;  // standard library
     // The fingerprint must appear at few servers overall (tied to the
     // application behind this server, not a vendor-wide base stack).
     if (ix.fp_snis()[f].size() > 8) continue;
-    const PostingList& devices = ix.sni_devices()[sni];
-    if (devices.size() < 2) continue;  // exclude single-device outliers
+    if (ix.sni_devices()[sni].size() < 2) continue;  // single-device outliers
     ++report.tied_snis;
-
-    const std::string& sni_name = ix.snis().str(sni);
-    const std::string& fp_key = ix.fps().str(f);
-    std::string sld = second_level_domain(sni_name);
-    auto [it, inserted] = rows.try_emplace(sld + "|" + fp_key);
-    ServerTiedFingerprint& row = it->second;
-    if (inserted) {
-      row.sld = std::move(sld);
-      row.fp_key = fp_key;
-      row.vulnerable_tags = tls::list_vulnerable_components(fp.cipher_suites);
+    std::uint32_t& sld = memo->sld_of[sni];
+    if (sld == Interner::kNone) {
+      sld = memo->slds.intern(second_level_domain(ix.snis().str(sni)));
     }
-    row.fqdns.insert(sni_name);
-    for (std::uint32_t d : devices) row.devices.insert(ix.devices().str(d));
-    for (std::uint32_t v : ix.sni_vendors()[sni]) row.vendors.insert(ix.vendors().str(v));
+    groups[{sld, f}].push_back(sni);
   }
 
-  for (auto& [key, row] : rows) {
-    if (row.vendors.size() < 2) continue;  // Table 5 lists cross-vendor rows
-    report.cross_vendor_rows.push_back(row);
+  // Table 5 lists the cross-vendor rows, in "sld|fp" key order before the
+  // sort by devices; names are resolved for those rows only.
+  UnionBuilder devices, vendors;
+  PostingList vendor_ids;
+  std::vector<std::pair<std::string, ServerTiedFingerprint>> keyed;
+  for (const auto& [key, snis] : groups) {
+    const auto [sld, f] = key;
+    vendors.start(ix.vendors().size());
+    vendor_ids.clear();
+    for (std::uint32_t sni : snis) vendors.add(ix.sni_vendors()[sni], vendor_ids);
+    if (vendor_ids.size() < 2) continue;
+    ServerTiedFingerprint row;
+    row.sld = memo->slds.str(sld);
+    for (std::uint32_t sni : snis) row.fqdns.insert(ix.snis().str(sni));
+    row.fp_key = ix.fps().str(f);
+    row.vulnerable_tags = memo->by_fp[f].vulnerable_tags;
+    devices.start(ix.devices().size());
+    for (std::uint32_t sni : snis) devices.add(ix.sni_devices()[sni], row.devices);
+    std::sort(row.devices.begin(), row.devices.end());
+    row.vendors = names(ix.vendors(), vendor_ids);
+    std::string sort_key = row.sld + "|" + row.fp_key;
+    keyed.emplace_back(std::move(sort_key), std::move(row));
   }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [key, row] : keyed) report.cross_vendor_rows.push_back(std::move(row));
   std::sort(report.cross_vendor_rows.begin(), report.cross_vendor_rows.end(),
             [](const ServerTiedFingerprint& a, const ServerTiedFingerprint& b) {
               return a.devices.size() > b.devices.size();

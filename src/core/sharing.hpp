@@ -41,7 +41,7 @@ struct ServerTiedFingerprint {
   std::set<std::string> fqdns;
   std::string fp_key;
   std::vector<std::string> vulnerable_tags;
-  std::set<std::string> devices;
+  PostingList devices;             // client device ids; only the count prints
   std::set<std::string> vendors;
 };
 
@@ -58,9 +58,33 @@ struct ServerTieReport {
   }
 };
 
+/// The Table 5 facts of one fingerprint: whether it matches a standard
+/// library, and (when not) its vulnerable-component tags.
+struct TieFacts {
+  bool known = false;  // filled
+  bool library = false;
+  std::vector<std::string> vulnerable_tags;
+};
+
+/// What Table 5 derives per fingerprint and per SNI, keyed by client ids.
+/// A memo serves one growing dataset and one corpus; the streaming ingest
+/// keeps one across renders.
+struct TieMemo {
+  std::vector<TieFacts> by_fp;
+  /// Client SNI id -> its second-level domain (an id of `slds`), kNone
+  /// until the SNI is first tied.
+  std::vector<std::uint32_t> sld_of;
+  Interner slds;
+};
+
 /// `corpus` is used to exclude fingerprints matching standard libraries
 /// (the paper excludes library-matched fingerprints from this analysis).
+/// Corpus matching and tagging run once per fingerprint `memo` lacks
+/// (without a memo, once per fingerprint per call). Rows aggregate on ids:
+/// each unions its SNIs' device and vendor posting lists, and names are
+/// resolved only for the rows that pass the cross-vendor filter.
 ServerTieReport server_tied_fingerprints(const ClientDataset& ds,
-                                         const corpus::LibraryCorpus& corpus);
+                                         const corpus::LibraryCorpus& corpus,
+                                         TieMemo* memo = nullptr);
 
 }  // namespace iotls::core

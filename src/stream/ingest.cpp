@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "corpus/corpus.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -75,12 +76,39 @@ std::uint64_t StreamIngest::fold_epoch(
   return epoch_;
 }
 
+namespace {
+
+const core::CertDataset& require_certs(const core::CertDataset* certs,
+                                       const char* what) {
+  if (certs == nullptr) {
+    throw std::logic_error(std::string(what) +
+                           "(): certs mode with >=1 folded epoch required");
+  }
+  return *certs;
+}
+
+}  // namespace
+
+core::ChainReport StreamIngest::chains() {
+  return core::validate_dataset(require_certs(certs(), "chains"), *world_,
+                                config_.validation_day, config_.jobs, &vcache_,
+                                chain_memo_);
+}
+
+core::CtReport StreamIngest::ct() {
+  return core::ct_report(require_certs(certs(), "ct"), *world_, config_.jobs,
+                         &ct_memo_);
+}
+
+core::ServerTieReport StreamIngest::server_ties() {
+  // The corpus is immutable reference data; one instance serves every call.
+  static const corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
+  return core::server_tied_fingerprints(client_, corpus, &tie_memo_);
+}
+
 const net::StackSurvey& StreamIngest::stacks() {
   if (stacks_.has_value()) return *stacks_;
-  const core::CertDataset* certs = this->certs();
-  if (certs == nullptr) {
-    throw std::logic_error("stacks(): certs mode with >=1 folded epoch required");
-  }
+  const core::CertDataset* certs = &require_certs(this->certs(), "stacks");
 
   // Battery only the SNIs this ingest has never fingerprinted. Per-SNI
   // results are pure (the battery visits one SNI's probes in a fixed

@@ -22,6 +22,16 @@
 // injection (the FaultInjector seeds per (SNI, vantage, attempt), so a
 // delta probe draws the same faults the batch probe would).
 //
+// Rendering is the other half of a refresh. The facts a §5 report derives
+// per record — the chain validation, the CT class and log lookup — are pure
+// functions of the record's chain, the world and the fixed validation day,
+// and the Table 5 corpus match is a pure function of the fingerprint. The
+// ingest memoizes them across renders (chains(), ct(), server_ties(), keyed
+// by stable ids), filling only what a new epoch added; each render then
+// aggregates on interned ids. fold_epoch never computes them, so the fold's
+// cost is unchanged. Batch callers reach the same core functions with an
+// empty memo.
+//
 // Thread-compat: fold_epoch and the accessors must not race; the daemon
 // serializes them behind its own mutex. Within a fold, `jobs` workers are
 // used for the parse/probe phases exactly as in batch mode.
@@ -33,7 +43,10 @@
 #include <vector>
 
 #include "core/cert_dataset.hpp"
+#include "core/chains.hpp"
+#include "core/ct_validity.hpp"
 #include "core/dataset.hpp"
+#include "core/sharing.hpp"
 #include "devicesim/scenario.hpp"
 #include "net/fault.hpp"
 #include "net/stack_fingerprint.hpp"
@@ -102,9 +115,20 @@ class StreamIngest {
   /// mode and at least one folded epoch; throws std::logic_error otherwise.
   const net::StackSurvey& stacks();
 
+  /// §5.3 chain validation of the resident dataset at
+  /// config.validation_day. Each record is validated once per ingest, on
+  /// the first call after the fold that added it. Requires certs mode and
+  /// at least one folded epoch; throws std::logic_error otherwise.
+  core::ChainReport chains();
+  /// §5.4 CT report; each record is classified and looked up in CT once
+  /// per ingest. Same requirements as chains().
+  core::CtReport ct();
+  /// Table 5 over the client dataset (standard corpus); each fingerprint is
+  /// matched against the corpus and tagged once per ingest.
+  core::ServerTieReport server_ties();
+
   /// The simulated world certs are probed against (built iff config.certs).
   const devicesim::SimWorld& world() const { return *world_; }
-  x509::ValidationCache& validation_cache() { return vcache_; }
   const IngestConfig& config() const { return config_; }
 
   std::uint64_t epoch() const { return epoch_; }
@@ -126,6 +150,10 @@ class StreamIngest {
   std::map<std::string, net::ServerStackResult> stack_memo_;
   net::StackSurveySummary stack_summary_;   // accumulates fresh batches
   std::unique_ptr<net::FaultInjector> stack_injector_;
+  // Per-record and per-fingerprint report facts, filled on the render path.
+  std::shared_ptr<core::ChainMemo> chain_memo_ = std::make_shared<core::ChainMemo>();
+  core::CtMemo ct_memo_;
+  core::TieMemo tie_memo_;
   x509::ValidationCache vcache_;
   std::uint64_t epoch_ = 0;
   std::uint64_t events_ingested_ = 0;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "core/chains.hpp"
-#include "core/ct_validity.hpp"
 #include "core/device_metrics.hpp"
 #include "core/issuers.hpp"
-#include "core/sharing.hpp"
 #include "core/vendor_metrics.hpp"
-#include "corpus/corpus.hpp"
+#include "obs/trace.hpp"
 
 namespace iotls::stream {
 
@@ -65,19 +62,18 @@ obs::Json report_table04(StreamIngest& ingest) {
 }
 
 obs::Json report_table05(StreamIngest& ingest) {
-  // The corpus is immutable reference data; one instance serves every call.
-  static const corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
-  core::ServerTieReport tie =
-      core::server_tied_fingerprints(ingest.client(), corpus);
+  core::ServerTieReport tie = ingest.server_ties();
   obs::Json::Array rows;
-  for (const core::ServerTiedFingerprint& row : tie.cross_vendor_rows) {
-    rows.emplace_back(obs::Json::Object{
-        {"sld", row.sld},
-        {"fp_key", row.fp_key},
-        {"fqdns", set_json(row.fqdns)},
-        {"devices", static_cast<std::int64_t>(row.devices.size())},
-        {"vendors", set_json(row.vendors)},
-    });
+  rows.reserve(tie.cross_vendor_rows.size());
+  for (core::ServerTiedFingerprint& row : tie.cross_vendor_rows) {
+    obs::Json::Object out;
+    out.reserve(5);
+    out.emplace_back("sld", std::move(row.sld));
+    out.emplace_back("fp_key", std::move(row.fp_key));
+    out.emplace_back("fqdns", set_json(row.fqdns));
+    out.emplace_back("devices", static_cast<std::int64_t>(row.devices.size()));
+    out.emplace_back("vendors", set_json(row.vendors));
+    rows.emplace_back(std::move(out));
   }
   return obs::Json(obs::Json::Object{
       {"table", "table05"},
@@ -124,9 +120,7 @@ obs::Json chain_rows_json(const std::vector<core::DomainChainRow>& rows) {
 }
 
 obs::Json report_chains(StreamIngest& ingest) {
-  core::ChainReport chains = core::validate_dataset(
-      *ingest.certs(), ingest.world(), ingest.config().validation_day,
-      ingest.config().jobs, &ingest.validation_cache());
+  core::ChainReport chains = ingest.chains();
   obs::Json::Array expired;
   for (const core::ExpiredRow& row : chains.expired) {
     expired.emplace_back(obs::Json::Object{
@@ -170,8 +164,7 @@ obs::Json report_issuers(StreamIngest& ingest) {
 }
 
 obs::Json report_ct(StreamIngest& ingest) {
-  core::CtReport ct =
-      core::ct_report(*ingest.certs(), ingest.world(), ingest.config().jobs);
+  core::CtReport ct = ingest.ct();
   obs::Json::Array anomalies;
   for (const core::CtPoint& p : ct.public_not_logged) {
     anomalies.emplace_back(obs::Json::Object{
@@ -383,10 +376,14 @@ std::optional<obs::Json> render_report(const std::string& name,
                                        StreamIngest& ingest) {
   const Report* report = find_report(name);
   if (report == nullptr) return std::nullopt;
+  // One item per rendered document; a refused render is a failure.
+  auto span = obs::tracer().span(std::string("analysis.") + report->name);
+  span.add_items();
   if (report->needs_certs && ingest.certs() == nullptr) {
-    return obs::Json(obs::Json::Object{
-        {"error", ingest.config().certs ? "no epoch folded yet"
-                                        : "daemon running without --certs"}});
+    const char* error = ingest.config().certs ? "no epoch folded yet"
+                                              : "daemon running without --certs";
+    span.fail(error);
+    return obs::Json(obs::Json::Object{{"error", error}});
   }
   return report->render(ingest);
 }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -176,7 +177,50 @@ obs::Json validation_json(const SniValidation& v) {
   });
 }
 
-obs::Json row_json(const DomainChainRow& row) {
+/// The seed's report shapes: members as name sets, validations and Fig. 6
+/// points by value. The index path keeps CertIndex device ids, points into
+/// its ChainMemo, and counts points without materializing them.
+struct RefChainRow {
+  std::string sld;
+  std::string leaf_issuer;
+  x509::ChainStatus status = x509::ChainStatus::kOk;
+  std::set<std::size_t> chain_lengths;
+  std::size_t fqdns = 0;
+  std::set<std::string> devices, vendors;
+};
+
+struct RefExpiredRow {
+  std::string sni, sld;
+  std::int64_t not_after = 0;
+  std::string issuer;
+  std::set<std::string> devices, vendors;
+};
+
+struct RefChainReport {
+  std::vector<SniValidation> validations;
+  std::vector<RefChainRow> failure_rows, private_root_rows, self_signed_rows;
+  std::vector<RefExpiredRow> expired;
+  std::vector<SniValidation> cn_mismatches;
+  std::size_t validated = 0, trusted = 0;
+  double private_leaf_failure_ratio = 0;
+};
+
+struct RefCtReport : CtReport {
+  std::vector<CtPoint> points;
+};
+
+std::set<std::string> device_names(const std::set<std::string>& devices,
+                                   const CertIndex&) {
+  return devices;
+}
+std::set<std::string> device_names(const PostingList& devices, const CertIndex& ix) {
+  return names(ix.devices(), devices);
+}
+const SniValidation& deref(const SniValidation& v) { return v; }
+const SniValidation& deref(const SniValidation* v) { return *v; }
+
+template <typename Row>
+obs::Json row_json(const Row& row, const CertIndex& ix) {
   obs::Json::Array lengths;
   for (std::size_t n : row.chain_lengths) {
     lengths.push_back(obs::Json(static_cast<std::int64_t>(n)));
@@ -187,36 +231,38 @@ obs::Json row_json(const DomainChainRow& row) {
       {"status", obs::Json(x509::chain_status_name(row.status))},
       {"chain_lengths", obs::Json(std::move(lengths))},
       {"fqdns", obs::Json(static_cast<std::int64_t>(row.fqdns))},
-      {"devices", set_json(row.devices)},
+      {"devices", set_json(device_names(row.devices, ix))},
       {"vendors", set_json(row.vendors)},
   });
 }
 
-obs::Json chain_report_json(const ChainReport& report) {
+/// Either report shape, members resolved to names through `ix`.
+template <typename Report>
+obs::Json chain_report_json(const Report& report, const CertIndex& ix) {
   obs::Json::Array validations, failures, private_roots, self_signed, expired,
       mismatches;
-  for (const SniValidation& v : report.validations) {
-    validations.push_back(validation_json(v));
+  for (const auto& v : report.validations) {
+    validations.push_back(validation_json(deref(v)));
   }
-  for (const DomainChainRow& row : report.failure_rows) failures.push_back(row_json(row));
-  for (const DomainChainRow& row : report.private_root_rows) {
-    private_roots.push_back(row_json(row));
+  for (const auto& row : report.failure_rows) failures.push_back(row_json(row, ix));
+  for (const auto& row : report.private_root_rows) {
+    private_roots.push_back(row_json(row, ix));
   }
-  for (const DomainChainRow& row : report.self_signed_rows) {
-    self_signed.push_back(row_json(row));
+  for (const auto& row : report.self_signed_rows) {
+    self_signed.push_back(row_json(row, ix));
   }
-  for (const ExpiredRow& row : report.expired) {
+  for (const auto& row : report.expired) {
     expired.push_back(obs::Json(obs::Json::Object{
         {"sni", obs::Json(row.sni)},
         {"sld", obs::Json(row.sld)},
         {"not_after", obs::Json(row.not_after)},
         {"issuer", obs::Json(row.issuer)},
-        {"devices", set_json(row.devices)},
+        {"devices", set_json(device_names(row.devices, ix))},
         {"vendors", set_json(row.vendors)},
     }));
   }
-  for (const SniValidation& v : report.cn_mismatches) {
-    mismatches.push_back(validation_json(v));
+  for (const auto& v : report.cn_mismatches) {
+    mismatches.push_back(validation_json(deref(v)));
   }
   return obs::Json(obs::Json::Object{
       {"validations", obs::Json(std::move(validations))},
@@ -286,9 +332,10 @@ obs::Json ct_point_json(const CtPoint& p) {
   });
 }
 
-obs::Json ct_report_json(const CtReport& report) {
+obs::Json ct_report_json(const CtReport& report,
+                         const std::vector<CtPoint>& fig6_points) {
   obs::Json::Array points, anomalies;
-  for (const CtPoint& p : report.points) points.push_back(ct_point_json(p));
+  for (const CtPoint& p : fig6_points) points.push_back(ct_point_json(p));
   for (const CtPoint& p : report.public_not_logged) {
     anomalies.push_back(ct_point_json(p));
   }
@@ -374,13 +421,13 @@ RefDataset ref_collect(const Members& members, const devicesim::SimWorld& world,
   return ds;
 }
 
-ChainReport ref_validate_dataset(const CertDataset& certs, const Members& members,
-                                 const devicesim::SimWorld& world,
-                                 std::int64_t now) {
-  ChainReport report;
-  std::map<std::string, DomainChainRow> failures;
-  std::map<std::string, DomainChainRow> private_roots;
-  std::map<std::string, DomainChainRow> self_signed;
+RefChainReport ref_validate_dataset(const CertDataset& certs, const Members& members,
+                                    const devicesim::SimWorld& world,
+                                    std::int64_t now) {
+  RefChainReport report;
+  std::map<std::string, RefChainRow> failures;
+  std::map<std::string, RefChainRow> private_roots;
+  std::map<std::string, RefChainRow> self_signed;
   std::size_t private_leaves = 0;
   std::size_t private_leaf_failures = 0;
 
@@ -407,11 +454,11 @@ ChainReport ref_validate_dataset(const CertDataset& certs, const Members& member
       if (!x509::chain_trusted(v.result.status)) ++private_leaf_failures;
     }
 
-    auto aggregate = [&](std::map<std::string, DomainChainRow>& into) {
+    auto aggregate = [&](std::map<std::string, RefChainRow>& into) {
       std::string sld = second_level_domain(v.sni);
       std::string key = sld + "|" + v.leaf_issuer + "|" +
                         x509::chain_status_name(v.result.status);
-      DomainChainRow& row = into[key];
+      RefChainRow& row = into[key];
       row.sld = sld;
       row.leaf_issuer = v.leaf_issuer;
       row.status = v.result.status;
@@ -436,7 +483,7 @@ ChainReport ref_validate_dataset(const CertDataset& certs, const Members& member
     if (v.result.status == x509::ChainStatus::kSelfSigned) aggregate(self_signed);
 
     if (v.result.expired && !record.chain.empty()) {
-      ExpiredRow row;
+      RefExpiredRow row;
       row.sni = v.sni;
       row.sld = second_level_domain(v.sni);
       row.not_after = record.chain.front().not_after;
@@ -451,11 +498,11 @@ ChainReport ref_validate_dataset(const CertDataset& certs, const Members& member
     report.validations.push_back(std::move(v));
   }
 
-  auto flatten = [](std::map<std::string, DomainChainRow>& from,
-                    std::vector<DomainChainRow>& into) {
+  auto flatten = [](std::map<std::string, RefChainRow>& from,
+                    std::vector<RefChainRow>& into) {
     for (auto& [key, row] : from) into.push_back(std::move(row));
     std::sort(into.begin(), into.end(),
-              [](const DomainChainRow& a, const DomainChainRow& b) {
+              [](const RefChainRow& a, const RefChainRow& b) {
                 return a.devices.size() > b.devices.size();
               });
   };
@@ -592,9 +639,9 @@ ChainClass ref_classify_chain(const devicesim::SimWorld& world,
                          : ChainClass::kPrivateLeafPrivateRoot;
 }
 
-CtReport ref_ct_report(const CertDataset& certs, const Members& members,
-                       const devicesim::SimWorld& world) {
-  CtReport report;
+RefCtReport ref_ct_report(const CertDataset& certs, const Members& members,
+                          const devicesim::SimWorld& world) {
+  RefCtReport report;
   std::set<std::string> long_private, all_private;
 
   for (const SniRecord& record : certs.records()) {
@@ -681,25 +728,41 @@ TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
 
 TEST(CertPipelineIdentity, ValidateMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
+  const CertIndex& ix = f.certs.index();
   std::string want =
-      chain_report_json(ref_validate_dataset(f.certs, f.members, f.world, f.probe_day))
+      chain_report_json(ref_validate_dataset(f.certs, f.members, f.world, f.probe_day),
+                        ix)
           .dump();
 
   EXPECT_EQ(chain_report_json(
-                validate_dataset(f.certs, f.world, f.probe_day, 1, nullptr))
+                validate_dataset(f.certs, f.world, f.probe_day, 1, nullptr), ix)
                 .dump(),
             want);
 
   x509::ValidationCache cache;
   EXPECT_EQ(chain_report_json(
-                validate_dataset(f.certs, f.world, f.probe_day, 8, &cache))
+                validate_dataset(f.certs, f.world, f.probe_day, 8, &cache), ix)
                 .dump(),
             want);
   // A warm cache must not change anything either.
   EXPECT_EQ(chain_report_json(
-                validate_dataset(f.certs, f.world, f.probe_day, 8, &cache))
+                validate_dataset(f.certs, f.world, f.probe_day, 8, &cache), ix)
                 .dump(),
             want);
+  // Nor a memo: a second call over it validates nothing and reuses every
+  // entry.
+  auto memo = std::make_shared<ChainMemo>();
+  EXPECT_EQ(chain_report_json(
+                validate_dataset(f.certs, f.world, f.probe_day, 8, &cache, memo), ix)
+                .dump(),
+            want);
+  obs::Counter& total = obs::metrics().counter("x509.validate.total");
+  const std::uint64_t before = total.value();
+  EXPECT_EQ(chain_report_json(
+                validate_dataset(f.certs, f.world, f.probe_day, 1, &cache, memo), ix)
+                .dump(),
+            want);
+  EXPECT_EQ(total.value(), before);
 }
 
 TEST(CertPipelineIdentity, IssuerAnalysesMatchSeed) {
@@ -716,9 +779,23 @@ TEST(CertPipelineIdentity, IssuerAnalysesMatchSeed) {
 
 TEST(CertPipelineIdentity, CtReportMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
-  std::string want = ct_report_json(ref_ct_report(f.certs, f.members, f.world)).dump();
-  EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 1)).dump(), want);
-  EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 8)).dump(), want);
+  RefCtReport ref = ref_ct_report(f.certs, f.members, f.world);
+  std::string want = ct_report_json(ref, ref.points).dump();
+  EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 1),
+                           ct_points(f.certs, f.world, 1))
+                .dump(),
+            want);
+  EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 8),
+                           ct_points(f.certs, f.world, 8))
+                .dump(),
+            want);
+  CtMemo memo;
+  for (int pass = 0; pass < 2; ++pass) {  // filling, then reusing, the memo
+    EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 8, &memo),
+                             ct_points(f.certs, f.world, 1, &memo))
+                  .dump(),
+              want);
+  }
 }
 
 // ------------------------------------------------------- ValidationCache
@@ -741,13 +818,15 @@ TEST(ValidationCacheTest, MatchesUncachedAndCountsHitsAndMisses) {
   EXPECT_LT(cache.entries(), f.certs.reachable_snis());
 
   auto uncached = validate_dataset(f.certs, f.world, f.probe_day, 1, nullptr);
-  EXPECT_EQ(chain_report_json(cached).dump(), chain_report_json(uncached).dump());
+  EXPECT_EQ(chain_report_json(cached, f.certs.index()).dump(),
+            chain_report_json(uncached, f.certs.index()).dump());
 
   // Re-validating with the warm cache produces zero new misses.
   std::uint64_t m2_before = misses.value();
   auto warm = validate_dataset(f.certs, f.world, f.probe_day, 1, &cache);
   EXPECT_EQ(misses.value(), m2_before);
-  EXPECT_EQ(chain_report_json(warm).dump(), chain_report_json(uncached).dump());
+  EXPECT_EQ(chain_report_json(warm, f.certs.index()).dump(),
+            chain_report_json(uncached, f.certs.index()).dump());
 }
 
 TEST(ValidationCacheTest, MissCountIndependentOfJobs) {
@@ -768,7 +847,8 @@ TEST(ValidationCacheTest, MissCountIndependentOfJobs) {
   // once no matter how many workers race for it.
   EXPECT_EQ(sequential.entries(), parallel.entries());
   EXPECT_EQ(seq_misses, par_misses);
-  EXPECT_EQ(chain_report_json(r1).dump(), chain_report_json(r8).dump());
+  EXPECT_EQ(chain_report_json(r1, f.certs.index()).dump(),
+            chain_report_json(r8, f.certs.index()).dump());
 }
 
 TEST(ValidationCacheTest, OcspVerdictsMatchUncached) {

@@ -1,8 +1,10 @@
-// The tools' shared argument handling: the one `--jobs=N` parser every tool
-// uses, and `iotls_audit --report=NAME` rejecting an unknown name before it
-// reads any input.
+// The tools' shared argument handling: the one bounded integer parser
+// behind `--jobs=`, `--retries=`, `--breaker=` and `--users=`, and
+// `iotls_audit --report=NAME` rejecting an unknown name before it reads any
+// input.
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -16,11 +18,12 @@ namespace {
 
 TEST(ParseJobs, AcceptsZeroToTheCap) {
   int jobs = -1;
-  EXPECT_TRUE(parse_jobs("0", &jobs));
+  EXPECT_TRUE(parse_int_flag("--jobs=", "0", kMaxJobs, &jobs));
   EXPECT_EQ(jobs, 0);
-  EXPECT_TRUE(parse_jobs("8", &jobs));
+  EXPECT_TRUE(parse_int_flag("--jobs=", "8", kMaxJobs, &jobs));
   EXPECT_EQ(jobs, 8);
-  EXPECT_TRUE(parse_jobs(std::to_string(kMaxJobs).c_str(), &jobs));
+  EXPECT_TRUE(
+      parse_int_flag("--jobs=", std::to_string(kMaxJobs).c_str(), kMaxJobs, &jobs));
   EXPECT_EQ(jobs, static_cast<int>(kMaxJobs));
 }
 
@@ -30,8 +33,42 @@ TEST(ParseJobs, RejectsValuesThatUsedToWrapOrGoNegative) {
   for (const char* value :
        {"4294967297", "3000000000", "18446744073709551616", "1025", "-1", "+2",
         " 2", "2x", ""}) {
-    EXPECT_FALSE(parse_jobs(value, &jobs)) << "'" << value << "'";
+    EXPECT_FALSE(parse_int_flag("--jobs=", value, kMaxJobs, &jobs)) << "'" << value << "'";
     EXPECT_EQ(jobs, 3) << "'" << value << "'";
+  }
+}
+
+/// Every bounded integer flag, with its cap.
+struct BoundedFlag {
+  const char* flag;
+  unsigned long long max;
+};
+constexpr BoundedFlag kBoundedFlags[] = {{"--jobs=", kMaxJobs},
+                                         {"--retries=", kMaxRetries},
+                                         {"--breaker=", kMaxBreaker},
+                                         {"--users=", kMaxUsers}};
+
+TEST(ParseIntFlag, EveryCapFitsAnInt) {
+  for (const BoundedFlag& f : kBoundedFlags) {
+    int out = -1;
+    EXPECT_LE(f.max, static_cast<unsigned long long>(INT32_MAX)) << f.flag;
+    EXPECT_TRUE(parse_int_flag(f.flag, std::to_string(f.max).c_str(), f.max, &out))
+        << f.flag;
+    EXPECT_EQ(out, static_cast<int>(f.max)) << f.flag;
+    EXPECT_FALSE(parse_int_flag(f.flag, std::to_string(f.max + 1).c_str(), f.max, &out))
+        << f.flag;
+  }
+}
+
+TEST(ParseIntFlag, RejectsValuesAnIntCastWouldWrap) {
+  // 2^31 turns negative through an int cast; 2^32 and 2^32+1 wrap to 0 and
+  // 1 (`--retries=4294967297` used to mean `--retries=1`).
+  for (const BoundedFlag& f : kBoundedFlags) {
+    for (const char* value : {"2147483648", "4294967296", "4294967297"}) {
+      int out = 5;
+      EXPECT_FALSE(parse_int_flag(f.flag, value, f.max, &out)) << f.flag << value;
+      EXPECT_EQ(out, 5) << f.flag << value;
+    }
   }
 }
 
@@ -61,6 +98,33 @@ TEST(AuditCli, UnknownReportFailsBeforeReadingInput) {
     EXPECT_NE(out.find(" " + name), std::string::npos) << name << " not listed: " << out;
   }
   EXPECT_EQ(out.find("cannot open"), std::string::npos) << out;
+}
+
+TEST(ToolCli, WrappingIntegerFlagsExitTwoBeforeAnyWork) {
+  // Each tool parses its flags before touching input or the network, so a
+  // rejected value exits 2 without starting a survey or building a fleet.
+  const std::string tools = IOTLS_TOOLS_DIR;
+  struct Case {
+    std::string command;
+    const char* flag;
+  };
+  for (const char* value : {"2147483648", "4294967296", "4294967297"}) {
+    const std::string v = value;
+    for (const Case& c : {
+             Case{tools + "/iotls_probe --retries=" + v + " a2.tuyaus.com", "--retries="},
+             Case{tools + "/iotls_probe --breaker=" + v + " a2.tuyaus.com", "--breaker="},
+             Case{tools + "/iotls_probe --jobs=" + v + " a2.tuyaus.com", "--jobs="},
+             Case{tools + "/iotlsd --export-fleet=/nonexistent/fleet --users=" + v,
+                  "--users="},
+             Case{tools + "/iotlsd --jobs=" + v + " /nonexistent/events.csv "
+                  "/nonexistent/devices.csv", "--jobs="},
+         }) {
+      std::string out;
+      EXPECT_EQ(run(c.command, &out), 2) << c.command << ": " << out;
+      EXPECT_NE(out.find(std::string(c.flag) + " wants an integer"), std::string::npos)
+          << c.command << ": " << out;
+    }
+  }
 }
 
 TEST(AuditCli, OversizedJobsIsAnAttributedError) {

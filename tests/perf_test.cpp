@@ -294,11 +294,26 @@ DegreeDistribution ref_degree_distribution(const SeedMaps& ds) {
   return dist;
 }
 
-ServerTieReport ref_server_tied(const SeedMaps& ds,
-                                const corpus::LibraryCorpus& corpus) {
-  ServerTieReport report;
+/// The seed's Table 5 shape: devices as a name set. The index path keeps
+/// client device ids.
+struct RefTiedRow {
+  std::string sld;
+  std::set<std::string> fqdns;
+  std::string fp_key;
+  std::vector<std::string> vulnerable_tags;
+  std::set<std::string> devices, vendors;
+};
+
+struct RefTieReport {
+  std::size_t total_snis = 0, tied_snis = 0;
+  std::vector<RefTiedRow> cross_vendor_rows;
+};
+
+RefTieReport ref_server_tied(const SeedMaps& ds,
+                             const corpus::LibraryCorpus& corpus) {
+  RefTieReport report;
   report.total_snis = ds.sni_fps.size();
-  std::map<std::string, ServerTiedFingerprint> rows;
+  std::map<std::string, RefTiedRow> rows;
   for (const auto& [sni, fps] : ds.sni_fps) {
     if (fps.size() != 1) continue;
     const std::string& fp_key = *fps.begin();
@@ -309,7 +324,7 @@ ServerTieReport ref_server_tied(const SeedMaps& ds,
     if (devices.size() < 2) continue;
     ++report.tied_snis;
     std::string sld = second_level_domain(sni);
-    ServerTiedFingerprint& row = rows[sld + "|" + fp_key];
+    RefTiedRow& row = rows[sld + "|" + fp_key];
     row.sld = sld;
     row.fp_key = fp_key;
     row.fqdns.insert(sni);
@@ -322,7 +337,7 @@ ServerTieReport ref_server_tied(const SeedMaps& ds,
     report.cross_vendor_rows.push_back(row);
   }
   std::sort(report.cross_vendor_rows.begin(), report.cross_vendor_rows.end(),
-            [](const ServerTiedFingerprint& a, const ServerTiedFingerprint& b) {
+            [](const RefTiedRow& a, const RefTiedRow& b) {
               return a.devices.size() > b.devices.size();
             });
   return report;
@@ -361,7 +376,17 @@ obs::Json strings_json(const std::set<std::string>& values) {
   return obs::Json(std::move(a));
 }
 
-obs::Json tied_json(const ServerTieReport& r) {
+std::set<std::string> device_names(const std::set<std::string>& devices,
+                                   const DatasetIndex&) {
+  return devices;
+}
+std::set<std::string> device_names(const PostingList& devices, const DatasetIndex& ix) {
+  return names(ix.devices(), devices);
+}
+
+/// Either Table 5 shape, devices resolved to names through `ix`.
+template <typename Report>
+obs::Json tied_json(const Report& r, const DatasetIndex& ix) {
   obs::Json::Array rows;
   for (const auto& row : r.cross_vendor_rows) {
     obs::Json::Array tags;
@@ -371,7 +396,7 @@ obs::Json tied_json(const ServerTieReport& r) {
         {"fp", row.fp_key},
         {"fqdns", strings_json(row.fqdns)},
         {"tags", obs::Json(std::move(tags))},
-        {"devices", strings_json(row.devices)},
+        {"devices", strings_json(device_names(row.devices, ix))},
         {"vendors", strings_json(row.vendors)}}));
   }
   return obs::Json(obs::Json::Object{{"total_snis", obs::Json(r.total_snis)},
@@ -402,7 +427,8 @@ std::string analysis_bundle(const ClientDataset& ds,
                             const corpus::LibraryCorpus& corpus) {
   obs::Json::Object root;
   root.emplace_back("similarities", sims_json(vendor_similarities(ds, 0.0)));
-  root.emplace_back("server_tied", tied_json(server_tied_fingerprints(ds, corpus)));
+  root.emplace_back("server_tied",
+                    tied_json(server_tied_fingerprints(ds, corpus), ds.index()));
   root.emplace_back("doc_per_device", doc_json(doc_per_device(ds)));
   root.emplace_back("doc_device_per_vendor", doc_json(doc_device_per_vendor(ds)));
   root.emplace_back("doc_vendor", doc_json(doc_vendor(ds)));
@@ -466,7 +492,14 @@ TEST(PerfProperty, IndexedAnalysesMatchSeedStringMapAlgorithms) {
             degree_json(ref_degree_distribution(seed)).dump());
 
   ServerTieReport tied = server_tied_fingerprints(ds, corpus);
-  EXPECT_EQ(tied_json(tied).dump(), tied_json(ref_server_tied(seed, corpus)).dump());
+  EXPECT_EQ(tied_json(tied, ds.index()).dump(),
+            tied_json(ref_server_tied(seed, corpus), ds.index()).dump());
+  // A memo filled by one call serves the next with the same result.
+  TieMemo memo;
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(tied_json(server_tied_fingerprints(ds, corpus, &memo), ds.index()).dump(),
+              tied_json(tied, ds.index()).dump());
+  }
   // The constructed tied fingerprint must actually survive the filters,
   // otherwise this property would be vacuous for Table 5.
   ASSERT_FALSE(tied.cross_vendor_rows.empty());

@@ -181,8 +181,8 @@ TEST(Chains, CnMismatchIsTuya) {
   const auto& f = fixture();
   auto report = validate_dataset(f.certs, f.world, f.probe_day);
   bool found = false;
-  for (const auto& v : report.cn_mismatches) {
-    if (v.sni == "a2.tuyaus.com") found = true;
+  for (const SniValidation* v : report.cn_mismatches) {
+    if (v->sni == "a2.tuyaus.com") found = true;
   }
   EXPECT_TRUE(found);
 }

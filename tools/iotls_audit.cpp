@@ -140,7 +140,9 @@ int main(int argc, char** argv) {
       }
     }
     else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      if (!tools::parse_jobs(argv[i] + 7, &jobs)) return 2;
+      if (!tools::parse_int_flag("--jobs=", argv[i] + 7, tools::kMaxJobs, &jobs)) {
+        return 2;
+      }
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr, "%s", kUsage);

@@ -115,19 +115,28 @@ int main(int argc, char** argv) {
     }
     else if (std::strcmp(argv[i], "--all") == 0) all = true;
     else if (has_prefix(argv[i], "--jobs=")) {
-      if (!tools::parse_jobs(argv[i] + 7, &jobs)) return 2;
+      if (!tools::parse_int_flag("--jobs=", argv[i] + 7, tools::kMaxJobs, &jobs)) {
+        return 2;
+      }
     }
     else if (std::strcmp(argv[i], "--stats") == 0) stats = StatsMode::kText;
     else if (std::strcmp(argv[i], "--stats=json") == 0) stats = StatsMode::kJson;
     else if (has_prefix(argv[i], "--retries=")) {
-      retry.max_attempts = 1 + static_cast<int>(flag_u64(argv[i], "--retries="));
+      int retries = 0;
+      if (!tools::parse_int_flag("--retries=", argv[i] + 10, tools::kMaxRetries,
+                                 &retries)) {
+        return 2;
+      }
+      retry.max_attempts = 1 + retries;
     } else if (has_prefix(argv[i], "--backoff-ms=")) {
       retry.base_backoff_ms = flag_u64(argv[i], "--backoff-ms=");
     } else if (has_prefix(argv[i], "--retry-budget=")) {
       retry.retry_budget = flag_u64(argv[i], "--retry-budget=");
     } else if (has_prefix(argv[i], "--breaker=")) {
-      breaker.failure_threshold =
-          static_cast<int>(flag_u64(argv[i], "--breaker="));
+      if (!tools::parse_int_flag("--breaker=", argv[i] + 10, tools::kMaxBreaker,
+                                 &breaker.failure_threshold)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--battery") == 0) {
       battery = true;
     } else if (has_prefix(argv[i], "--battery=")) {

@@ -155,15 +155,19 @@ int main(int argc, char** argv) {
         n <= 65535) {
       port = n;
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      if (!tools::parse_jobs(arg + 7, &config.jobs)) return 2;
+      if (!tools::parse_int_flag("--jobs=", arg + 7, tools::kMaxJobs, &config.jobs)) {
+        return 2;
+      }
     } else if (std::strncmp(arg, "--epochs=", 9) == 0 &&
                parse_uint(arg + 9, &n) && n >= 1) {
       epochs = n;
     } else if (std::strncmp(arg, "--min-users=", 12) == 0 &&
                parse_uint(arg + 12, &n)) {
       config.min_users = static_cast<std::size_t>(n);
-    } else if (std::strncmp(arg, "--users=", 8) == 0 && parse_uint(arg + 8, &n)) {
-      users = static_cast<int>(n);
+    } else if (std::strncmp(arg, "--users=", 8) == 0) {
+      if (!tools::parse_int_flag("--users=", arg + 8, tools::kMaxUsers, &users)) {
+        return 2;
+      }
     } else if (std::strcmp(arg, "--follow") == 0) {
       follow = true;
     } else if (std::strcmp(arg, "--certs") == 0) {

@@ -18,8 +18,9 @@
 // recorder are both off unless their flag appears, so tools pay nothing for
 // carrying this surface.
 //
-// The tools also share one parser for `--jobs=N` (parse_jobs), so every
-// tool accepts and rejects the same values.
+// The tools also share one parser for their integer flags (parse_int_flag:
+// `--jobs=`, `--retries=`, `--breaker=`, `--users=`), so a value never
+// wraps through a narrowing cast and every tool rejects the same values.
 #pragma once
 
 #include <cstdint>
@@ -37,19 +38,27 @@ namespace iotls::tools {
 /// Largest accepted `--jobs=N`. Worker threads are started per parallel
 /// stage, so a typo must not be able to ask for millions of them.
 inline constexpr unsigned long long kMaxJobs = 1024;
+/// Largest accepted `--retries=N` (N + 1 attempts per probe).
+inline constexpr unsigned long long kMaxRetries = 100;
+/// Largest accepted `--breaker=N` (consecutive failures before quarantine).
+inline constexpr unsigned long long kMaxBreaker = 1000;
+/// Largest accepted `--users=N` for a generated fleet (the paper fleet has
+/// 721 users; events grow with users).
+inline constexpr unsigned long long kMaxUsers = 100000;
 
-/// Parse the value of `--jobs=N`: an integer in [0, kMaxJobs], 0 meaning
-/// hardware concurrency. Returns false, with a message naming the flag on
-/// stderr, for anything else.
-inline bool parse_jobs(const char* value, int* jobs) {
+/// Parse `value`, the text after `flag` (e.g. "--jobs="): a decimal integer
+/// in [0, max], with max <= INT_MAX. Returns false, leaving `*out` as it
+/// was and printing a message naming the flag on stderr, for anything else.
+inline bool parse_int_flag(const char* flag, const char* value,
+                           unsigned long long max, int* out) {
   char* end = nullptr;
   unsigned long long n = std::strtoull(value, &end, 10);
-  if (value[0] < '0' || value[0] > '9' || *end != '\0' || n > kMaxJobs) {
-    std::fprintf(stderr, "--jobs= wants an integer in [0,%llu], got '%s'\n",
-                 kMaxJobs, value);
+  if (value[0] < '0' || value[0] > '9' || *end != '\0' || n > max) {
+    std::fprintf(stderr, "%s wants an integer in [0,%llu], got '%s'\n", flag,
+                 max, value);
     return false;
   }
-  *jobs = static_cast<int>(n);
+  *out = static_cast<int>(n);
   return true;
 }
 
