@@ -10,6 +10,12 @@
 //    pinned). The set of these files is the set of pinned mains. A file a
 //    main writes into its working directory (fig01/fig03 write DOT graphs)
 //    is compared against the golden of the same name.
+//  * survey_<name>.txt — the §5 certificate survey and the dual-stack
+//    battery over the default world's SNIs (plus duplicates and a dead
+//    host) under one fixed fault spec with retries: the full survey dump,
+//    then the deltas of the counters the survey wrote and the virtual
+//    clock reading. Where jobs 8 is checked it is compared against the
+//    jobs 1 file.
 //
 // Each bench main runs in its own directory under the build tree, so no run
 // rewrites a tracked file. On a mismatch the actual bytes are written next
@@ -19,6 +25,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +34,13 @@
 
 #include "corpus/corpus.hpp"
 #include "devicesim/fleet.hpp"
+#include "devicesim/scenario.hpp"
+#include "net/fault.hpp"
+#include "net/prober.hpp"
+#include "net/stack_fingerprint.hpp"
+#include "net/survey_json.hpp"
+#include "obs/metrics.hpp"
+#include "stack_survey_text.hpp"
 #include "stream/ingest.hpp"
 #include "stream/reports.hpp"
 
@@ -79,6 +93,134 @@ void check_reports(int jobs) {
 
 TEST(GoldenReports, DefaultFleetJobs1) { check_reports(1); }
 TEST(GoldenReports, DefaultFleetJobs8) { check_reports(8); }
+
+// ------------------------------------------------------------- surveys
+
+const devicesim::SimWorld& survey_world() {
+  static const devicesim::SimWorld world =
+      devicesim::build_world(devicesim::ServerUniverse::standard());
+  return world;
+}
+
+/// Every `stride`-th SNI of the default world, a dead host (first, in the
+/// middle and twice at the end, so its breaker opens, denies and
+/// half-opens), and repeats of the first eight SNIs (duplicates keep their
+/// own slots).
+std::vector<std::string> survey_snis(std::size_t stride) {
+  const std::string dead = "dead.golden.invalid";
+  std::vector<std::string> snis = {dead};
+  const std::vector<const net::SimServer*> servers =
+      survey_world().internet.servers();
+  for (std::size_t i = 0; i < servers.size(); i += stride) {
+    snis.push_back(servers[i]->sni);
+  }
+  const std::size_t middle = snis.size() / 2;
+  snis.insert(snis.begin() + static_cast<std::ptrdiff_t>(middle), dead);
+  for (std::size_t i = 1; i <= 8; ++i) snis.push_back(snis[i]);
+  snis.push_back(dead);
+  snis.push_back(dead);
+  return snis;
+}
+
+const char* const kSurveyFaults =
+    "seed=7,timeout=0.2,reset=0.05,truncate=0.01,garble=0.01";
+
+/// What a survey wrote into the registry and onto its clock: the delta of
+/// every net.probe.* counter and of net.fingerprint.probes that moved, one
+/// "name delta" line each in name order, then "clock_ms=N".
+class SurveyCounters {
+ public:
+  SurveyCounters() {
+    for (const auto& [name, value] : obs::metrics().counter_values()) {
+      before_[name] = value;
+    }
+  }
+
+  std::string text(const net::VirtualClock& clock) const {
+    std::ostringstream out;
+    for (const auto& [name, value] : obs::metrics().counter_values()) {
+      if (name.rfind("net.probe.", 0) != 0 && name != "net.fingerprint.probes") {
+        continue;
+      }
+      auto it = before_.find(name);
+      const std::uint64_t delta = value - (it == before_.end() ? 0 : it->second);
+      if (delta != 0) out << name << " " << delta << "\n";
+    }
+    out << "clock_ms=" << clock.now_ms() << "\n";
+    return out.str();
+  }
+
+ private:
+  std::map<std::string, std::uint64_t> before_;
+};
+
+/// The §5 survey of every world SNI under kSurveyFaults with 3 attempts per
+/// probe, through a fresh injector and clock: survey_report_json with one
+/// result per line, then the summary, then the counters.
+std::string prober_survey(int jobs, std::uint64_t retry_budget) {
+  net::FaultInjector injector(survey_world().internet,
+                              net::FaultSpec::parse(kSurveyFaults));
+  net::VirtualClock clock;
+  net::TlsProber prober(injector);
+  net::RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.retry_budget = retry_budget;
+  prober.set_retry_policy(retry);
+  prober.set_clock(&clock);
+  prober.set_jobs(jobs);
+  SurveyCounters counters;
+  const obs::Json doc =
+      net::survey_report_json(prober.survey_report(survey_snis(1)));
+  std::string out;
+  for (const obs::Json& result : doc.find("results")->as_array()) {
+    out += result.dump() + "\n";
+  }
+  return out + doc.find("summary")->dump() + "\n" + counters.text(clock);
+}
+
+TEST(GoldenSurveys, ProberUnderFaultsJobs1) {
+  expect_golden("survey_prober.txt", prober_survey(1, UINT64_MAX));
+}
+
+TEST(GoldenSurveys, ProberUnderFaultsJobs8) {
+  expect_golden("survey_prober.txt", prober_survey(8, UINT64_MAX));
+}
+
+// A budget that runs out mid-survey: which probes it starves depends on the
+// walk order, so only the sequential walk is pinned (README "Parallelism").
+TEST(GoldenSurveys, ProberBindingRetryBudgetJobs1) {
+  const std::string out = prober_survey(1, 200);
+  EXPECT_NE(out.find("\"budget_denied\":"), std::string::npos);
+  EXPECT_EQ(out.find("\"budget_denied\":0,"), std::string::npos)
+      << "the budget must bind";
+  expect_golden("survey_prober_budget.txt", out);
+}
+
+/// The dual-stack battery of every eighth world SNI under kSurveyFaults
+/// with 3 attempts per probe, through a fresh injector and clock.
+std::string battery_survey(int jobs) {
+  net::FaultInjector injector(survey_world().internet,
+                              net::FaultSpec::parse(kSurveyFaults));
+  net::VirtualClock clock;
+  net::StackFingerprinter fingerprinter(injector);
+  fingerprinter.set_families({net::AddressFamily::kIPv4, net::AddressFamily::kIPv6});
+  net::RetryPolicy retry;
+  retry.max_attempts = 3;
+  fingerprinter.set_retry_policy(retry);
+  fingerprinter.set_clock(&clock);
+  fingerprinter.set_jobs(jobs);
+  SurveyCounters counters;
+  net::StackSurvey survey = fingerprinter.survey(survey_snis(8));
+  return net::serialize(survey) + counters.text(clock);
+}
+
+TEST(GoldenSurveys, BatteryUnderFaultsJobs1) {
+  expect_golden("survey_battery.txt", battery_survey(1));
+}
+
+TEST(GoldenSurveys, BatteryUnderFaultsJobs8) {
+  expect_golden("survey_battery.txt", battery_survey(8));
+}
 
 // --------------------------------------------------------- bench mains
 

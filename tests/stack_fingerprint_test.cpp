@@ -14,6 +14,7 @@
 #include "net/fault.hpp"
 #include "net/internet.hpp"
 #include "net/stack_fingerprint.hpp"
+#include "stack_survey_text.hpp"
 #include "x509/authority.hpp"
 
 namespace iotls::net {
@@ -297,28 +298,6 @@ TEST(StackFingerprinter, DualStackDivergenceAndAbsence) {
 }
 
 // ------------------------------------------------------------ determinism
-
-std::string serialize(const StackSurvey& survey) {
-  std::ostringstream out;
-  for (const ServerStackResult& r : survey.results) {
-    out << r.sni << "\n";
-    for (const auto& [vantage, families] : r.fingerprints)
-      for (const auto& [family, print] : families) {
-        out << "  " << vantage_name(vantage) << "/" << family_name(family)
-            << " " << print.digest << " " << print.answered << " "
-            << print.leaf_fp << "\n";
-        for (const ProbeObservation& obs : print.observations)
-          out << "    " << obs.probe << " " << obs.canonical << " "
-              << obs.attempts << "\n";
-      }
-  }
-  const StackSurveySummary& s = survey.summary;
-  out << "snis=" << s.snis << " probes=" << s.probes
-      << " attempts=" << s.attempts << " retries=" << s.retries
-      << " answered=" << s.answered_probes << " skipped=" << s.skipped_probes
-      << "\n";
-  return out.str();
-}
 
 std::vector<std::string> sample_snis() {
   std::vector<std::string> snis;
