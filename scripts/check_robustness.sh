@@ -3,8 +3,8 @@
 # under AddressSanitizer + UBSan, then the golden suite (`ctest -L golden`:
 # every stream report and the byte-stable paper bench outputs against
 # tests/golden/) under ASan too, then the concurrency-labelled suites
-# (parallel survey determinism, pool races) and the daemon-labelled streaming
-# suites under ThreadSanitizer — so the
+# (parallel survey determinism, pool races), the daemon-labelled streaming
+# suites and the faulted survey goldens under ThreadSanitizer — so the
 # retry/breaker state machines, the fault-injection paths and the parallel
 # executor are sanitizer-clean on every change. A perf phase then runs the
 # pipeline benchmark suites (optimized build, 5 repetitions) and writes the
@@ -47,6 +47,10 @@ ctest --preset concurrency-tsan -j"$(nproc)" "$@"
 # test_fold_identity, test_cert_fold_identity, test_report_prefix: jobs 1
 # and 8, with and without faults) under TSan too.
 ctest --preset tsan -L daemon -j"$(nproc)" "$@"
+# The faulted survey goldens (the certificate prober at jobs 1 and 8 and
+# with a binding budget, the dual-stack battery at jobs 1 and 8) under TSan:
+# both surveys share the probe engine's sharded driver.
+ctest --preset tsan -L golden -R GoldenSurveys -j"$(nproc)" "$@"
 
 cmake --preset default
 cmake --build --preset default -j"$(nproc)" \

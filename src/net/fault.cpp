@@ -109,26 +109,20 @@ FaultSpec FaultSpec::parse(const std::string& text) {
     }
     std::string key = field.substr(0, eq);
     std::string value = field.substr(eq + 1);
+    if (key != "outage") once(key);
     if (key == "seed") {
-      once(key);
       spec.seed = parse_u64(key, value);
     } else if (key == "timeout") {
-      once(key);
       spec.timeout_rate = parse_rate(key, value);
     } else if (key == "reset") {
-      once(key);
       spec.reset_rate = parse_rate(key, value);
     } else if (key == "truncate") {
-      once(key);
       spec.truncate_rate = parse_rate(key, value);
     } else if (key == "garble") {
-      once(key);
       spec.garble_rate = parse_rate(key, value);
     } else if (key == "latency-ms") {
-      once(key);
       spec.latency_ms = parse_u64(key, value);
     } else if (key == "latency-jitter-ms") {
-      once(key);
       spec.latency_jitter_ms = parse_u64(key, value);
     } else if (key == "outage") {
       // <vantage>:<start>:<end>
@@ -201,6 +195,15 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
                 .fork(vantage_name(vantage))
                 .fork("attempt" + std::to_string(attempt));
 
+  // One injected fault: the injector's stats and net.fault.injected.<kind>.
+  auto tally = [this](std::uint64_t Stats::*field, obs::Counter& counter) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++(stats_.*field);
+    }
+    counter.inc();
+  };
+
   if (spec_.latency_ms > 0 || spec_.latency_jitter_ms > 0) {
     std::uint64_t lat = spec_.latency_ms;
     if (spec_.latency_jitter_ms > 0) lat += rng.uniform(0, spec_.latency_jitter_ms);
@@ -211,33 +214,21 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
 
   for (const OutageWindow& w : spec_.outages) {
     if (w.vantage == vantage && conn_index >= w.start && conn_index < w.end) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.outage_hits;
-      }
       static obs::Counter& c = fault_counter("outage");
-      c.inc();
+      tally(&Stats::outage_hits, c);
       throw NetError("injected outage at " + vantage_name(vantage) + ": " + *sni,
                      NetError::Kind::kTimeout);
     }
   }
 
   if (rng.chance(spec_.timeout_rate)) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.timeouts;
-    }
     static obs::Counter& c = fault_counter("timeout");
-    c.inc();
+    tally(&Stats::timeouts, c);
     throw NetError("injected timeout: " + *sni, NetError::Kind::kTimeout);
   }
   if (rng.chance(spec_.reset_rate)) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.resets;
-    }
     static obs::Counter& c = fault_counter("reset");
-    c.inc();
+    tally(&Stats::resets, c);
     throw NetError("injected connection reset: " + *sni, NetError::Kind::kConnect);
   }
 
@@ -248,12 +239,8 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
     // connection after the first segments would leave it.
     response.resize(static_cast<std::size_t>(
         rng.uniform(1, static_cast<std::uint64_t>(response.size() - 1))));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.truncated;
-    }
     static obs::Counter& c = fault_counter("truncate");
-    c.inc();
+    tally(&Stats::truncated, c);
   }
   if (!response.empty() && rng.chance(spec_.garble_rate)) {
     std::size_t flips = 1 + response.size() / 64;
@@ -262,12 +249,8 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
           rng.uniform(0, static_cast<std::uint64_t>(response.size() - 1)));
       response[pos] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.garbled;
-    }
     static obs::Counter& c = fault_counter("garble");
-    c.inc();
+    tally(&Stats::garbled, c);
   }
   return response;
 }

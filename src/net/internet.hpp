@@ -55,7 +55,6 @@ class SimInternet final : public Internet {
   /// builder wires dual-stack overrides in a second pass; see
   /// devicesim::build_world).
   SimServer* find_mutable(const std::string& sni);
-  std::size_t server_count() const { return servers_.size(); }
   std::vector<const SimServer*> servers() const;
 
   using Internet::connect;

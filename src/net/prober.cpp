@@ -1,18 +1,14 @@
 #include "net/prober.hpp"
 
+#include <array>
 #include <cctype>
 #include <cstdio>
-#include <mutex>
 
-#include "exec/pool.hpp"
 #include "obs/health.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tls/alert.hpp"
-#include "tls/record.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace iotls::net {
 
@@ -28,102 +24,45 @@ std::string vantage_slug(VantagePoint v) {
   return name;
 }
 
-/// Per-vantage reachability counters, resolved once.
-obs::Counter& reachable_counter(VantagePoint v) {
-  static obs::Counter* counters[kAllVantagePoints.size()] = {};
-  static std::once_flag once;
-  std::call_once(once, [] {
+/// net.probe.reachable.<vantage> (or .unreachable.), resolved once.
+obs::Counter& vantage_counter(bool reachable, VantagePoint v) {
+  static const auto counters = [] {
+    std::array<std::array<obs::Counter*, kAllVantagePoints.size()>, 2> c{};
     for (VantagePoint vp : kAllVantagePoints) {
-      counters[static_cast<std::size_t>(vp)] = &obs::metrics().counter(
-          "net.probe.reachable." + vantage_slug(vp));
+      const auto i = static_cast<std::size_t>(vp);
+      c[0][i] = &obs::metrics().counter("net.probe.unreachable." + vantage_slug(vp));
+      c[1][i] = &obs::metrics().counter("net.probe.reachable." + vantage_slug(vp));
     }
-  });
-  return *counters[static_cast<std::size_t>(v)];
+    return c;
+  }();
+  return *counters[reachable ? 1 : 0][static_cast<std::size_t>(v)];
 }
 
-obs::Counter& unreachable_counter(VantagePoint v) {
-  static obs::Counter* counters[kAllVantagePoints.size()] = {};
-  static std::once_flag once;
-  std::call_once(once, [] {
-    for (VantagePoint vp : kAllVantagePoints) {
-      counters[static_cast<std::size_t>(vp)] = &obs::metrics().counter(
-          "net.probe.unreachable." + vantage_slug(vp));
-    }
-  });
-  return *counters[static_cast<std::size_t>(v)];
-}
-
+/// net.probe.error.<category>, resolved once; kNone is never counted.
 obs::Counter& error_counter(ProbeError e) {
-  // Indexed by enum value; kNone is never counted.
-  static obs::Counter* counters[7] = {};
-  static std::once_flag once;
-  std::call_once(once, [] {
+  static const auto counters = [] {
+    std::array<obs::Counter*, 7> c{};
     for (ProbeError err : {ProbeError::kDns, ProbeError::kConnect,
                            ProbeError::kAlert, ProbeError::kParse,
                            ProbeError::kTimeout, ProbeError::kSkipped}) {
-      counters[static_cast<std::size_t>(err)] =
+      c[static_cast<std::size_t>(err)] =
           &obs::metrics().counter("net.probe.error." + probe_error_name(err));
     }
-  });
+    return c;
+  }();
   return *counters[static_cast<std::size_t>(e)];
-}
-
-/// Retries broken down by the transient category that triggered them.
-obs::Counter& retry_counter(ProbeError e) {
-  static obs::Counter* timeout = &obs::metrics().counter("net.probe.retry.timeout");
-  static obs::Counter* connect = &obs::metrics().counter("net.probe.retry.connect");
-  return e == ProbeError::kTimeout ? *timeout : *connect;
-}
-
-ProbeError classify_net_error(NetError::Kind kind) {
-  switch (kind) {
-    case NetError::Kind::kNoRoute: return ProbeError::kDns;
-    case NetError::Kind::kTimeout: return ProbeError::kTimeout;
-    case NetError::Kind::kConnect: return ProbeError::kConnect;
-    case NetError::Kind::kProtocol: return ProbeError::kConnect;
-  }
-  return ProbeError::kConnect;
-}
-
-/// Did the probe reach *a server* (even one that refused us)? Only
-/// connectivity failures feed the circuit breaker; a fatal alert or a
-/// garbled flight proves something answered.
-bool connectivity_failure(ProbeError e) {
-  return e == ProbeError::kDns || e == ProbeError::kTimeout ||
-         e == ProbeError::kConnect;
 }
 
 /// Our own client hello: a modern, fixed configuration (the probing client
 /// is ours; only the *server's* response matters for the §5 dataset).
-tls::ClientHello prober_hello(const std::string& sni) {
-  tls::ClientHello ch;
-  ch.legacy_version = 0x0303;
-  Rng rng(fnv1a64("prober:" + sni));
-  for (auto& b : ch.random) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
-  ch.cipher_suites = {0xc02b, 0xc02f, 0xc02c, 0xc030, 0xcca9, 0xcca8,
-                      0xc013, 0xc014, 0x009c, 0x009d, 0x002f, 0x0035, 0x000a};
-  ch.set_sni(sni);
-  ch.extensions.push_back({5, {}});  // status_request: ask for an OCSP staple
-  ch.extensions.push_back({10, {0x00, 0x04, 0x00, 0x17, 0x00, 0x18}});
-  ch.extensions.push_back({11, {0x01, 0x00}});
-  ch.extensions.push_back({13, {0x00, 0x04, 0x04, 0x01, 0x05, 0x01}});
-  return ch;
+/// Extension 5 (status_request) asks for an OCSP staple.
+const ProbeSpec& prober_spec() {
+  static const ProbeSpec spec{"prober", 0x0303, modern_suites(),
+                              {0, 5, 10, 11, 13}, {}, {}, false};
+  return spec;
 }
 
 }  // namespace
-
-std::string probe_error_name(ProbeError e) {
-  switch (e) {
-    case ProbeError::kNone: return "none";
-    case ProbeError::kDns: return "dns";
-    case ProbeError::kConnect: return "connect";
-    case ProbeError::kAlert: return "alert";
-    case ProbeError::kParse: return "parse";
-    case ProbeError::kTimeout: return "timeout";
-    case ProbeError::kSkipped: return "skipped";
-  }
-  return "?";
-}
 
 ProbeResult ProbeResult::skipped_by_breaker(std::string sni, VantagePoint vantage) {
   ProbeResult skipped;
@@ -152,26 +91,22 @@ bool MultiVantageResult::consistent_across_vantages() const {
 }
 
 ProbeError MultiVantageResult::majority_error() const {
-  // Count votes per category over failed vantages.
+  // Votes per category over failed vantages; a tie goes to New York's
+  // category (the paper's primary vantage), else to the lower enum value.
   std::map<ProbeError, int> votes;
   for (const auto& [vantage, result] : by_vantage) {
-    if (!result.reachable && result.error != ProbeError::kNone) {
-      ++votes[result.error];
-    }
+    if (!result.reachable && result.error != ProbeError::kNone) ++votes[result.error];
   }
-  if (votes.empty()) return ProbeError::kNone;
   auto ny = by_vantage.find(VantagePoint::kNewYork);
-  ProbeError ny_error = (ny != by_vantage.end() && !ny->second.reachable)
-                            ? ny->second.error
-                            : ProbeError::kNone;
+  const ProbeError ny_error = ny != by_vantage.end() && !ny->second.reachable
+                                  ? ny->second.error
+                                  : ProbeError::kNone;
   ProbeError best = ProbeError::kNone;
   int best_votes = 0;
   for (const auto& [error, n] : votes) {
-    if (n > best_votes) {
+    if (n > best_votes || (n == best_votes && error == ny_error)) {
       best = error;
       best_votes = n;
-    } else if (n == best_votes && error == ny_error) {
-      best = error;  // tie: the paper's primary vantage wins
     }
   }
   return best;
@@ -213,169 +148,120 @@ std::string DegradationSummary::to_string() const {
   return buf;
 }
 
-ProbeResult TlsProber::probe_once(const std::string& sni,
-                                  VantagePoint vantage) const {
-  static obs::Counter& attempts_total = obs::metrics().counter("net.probe.attempts");
-  static obs::Histogram& handshake_ns =
-      obs::metrics().histogram("net.probe.handshake_ns");
-  attempts_total.inc();
+TlsProber::TlsProber(const Internet& internet)
+    : ProbeEngine(internet, "net.probe") {}
 
-  ProbeResult result;
-  result.sni = sni;
-  result.vantage = vantage;
-  result.family = family_;
-
-  Bytes hello_msg = prober_hello(sni).encode();
-  Bytes flight = tls::encode_records(tls::ContentType::kHandshake, 0x0301,
-                                     BytesView(hello_msg.data(), hello_msg.size()));
-  Bytes response;
-  try {
-    obs::ScopedTimer timer(handshake_ns);
-    response = internet_->connect(vantage, family_,
-                                  BytesView(flight.data(), flight.size()));
-  } catch (const NetError& e) {
-    result.error = classify_net_error(e.kind());
-    result.error_detail = e.what();
-  }
-
-  if (result.error == ProbeError::kNone) {
-    // A fatal alert instead of a ServerHello: reachable at the TCP level
-    // but the handshake was refused.
-    if (auto alert = tls::find_alert(BytesView(response.data(), response.size()))) {
-      result.error = ProbeError::kAlert;
-      result.error_detail =
-          "alert: " + tls::alert_description_name(alert->description);
-    }
-  }
-
-  if (result.error == ProbeError::kNone) {
-    try {
-      auto records = tls::parse_records(BytesView(response.data(), response.size()));
-      Bytes handshakes = tls::handshake_payload(records);
-      auto msgs =
-          tls::split_handshakes(BytesView(handshakes.data(), handshakes.size()));
-      for (const auto& m : msgs) {
-        Bytes framed =
-            tls::encode_handshake(m.type, BytesView(m.body.data(), m.body.size()));
-        if (m.type == tls::HandshakeType::kServerHello) {
-          auto sh = tls::ServerHello::parse(BytesView(framed.data(), framed.size()));
-          result.negotiated_suite = sh.cipher_suite;
-        } else if (m.type == tls::HandshakeType::kCertificate) {
-          auto cert_msg =
-              tls::CertificateMsg::parse(BytesView(framed.data(), framed.size()));
-          for (const Bytes& enc : cert_msg.chain) {
-            result.chain.push_back(
-                x509::Certificate::parse(BytesView(enc.data(), enc.size())));
-          }
-        } else if (m.type == tls::HandshakeType::kCertificateStatus) {
-          result.stapled =
-              x509::OcspResponse::parse(BytesView(m.body.data(), m.body.size()));
-        }
-      }
-      result.reachable = true;
-    } catch (const ParseError& e) {
-      result.chain.clear();
-      result.stapled.reset();
-      result.error = ProbeError::kParse;
-      result.error_detail = e.what();
-    }
-  }
-  return result;
-}
-
-ProbeResult TlsProber::probe_with_retries(const std::string& sni,
-                                          VantagePoint vantage,
-                                          RetryBudget* budget,
-                                          DegradationSummary* summary) const {
+ProbeResult TlsProber::probe_with(const std::string& sni, VantagePoint vantage,
+                                  CircuitBreaker* breaker, RetryBudget* budget,
+                                  DegradationSummary& summary) const {
   static obs::Counter& total = obs::metrics().counter("net.probe.total");
-  static obs::Counter& retries_total = obs::metrics().counter("net.probe.retry");
+  static obs::Counter& skipped = obs::metrics().counter("net.probe.skipped.breaker");
   static obs::Counter& recovered = obs::metrics().counter("net.probe.recovered");
-  static obs::Counter& transient_fail =
-      obs::metrics().counter("net.probe.transient_fail");
-  static obs::Counter& persistent_fail =
-      obs::metrics().counter("net.probe.persistent_fail");
-  static obs::Counter& backoff_total =
-      obs::metrics().counter("net.probe.backoff_ms_total");
+  static obs::Counter& transient_fail = obs::metrics().counter("net.probe.transient_fail");
+  static obs::Counter& persistent_fail = obs::metrics().counter("net.probe.persistent_fail");
   static obs::Histogram& attempts_hist = obs::metrics().histogram(
       "net.probe.attempts_per_probe", {1, 2, 3, 4, 5, 6, 8, 10});
-  total.inc();
 
   // Flight-recorder span per probe (one relaxed load when --trace-out is
-  // off): renders each SNI x vantage attempt loop as a leaf of its worker's
-  // flamegraph track.
+  // off): a leaf of its worker's flamegraph track.
   obs::TraceSpan trace_span("net.probe");
   if (trace_span.active()) {
     trace_span.detail("sni=" + sni + " vantage=" + vantage_slug(vantage));
   }
 
-  const int max_attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
-  ProbeResult result;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    result = probe_once(sni, vantage);
-    result.attempts = attempt;
-    if (result.error == ProbeError::kNone) break;
-    result.transient = RetryPolicy::retryable(result.error);
-    // Definitive categories (alert/parse/dns) are the server's answer, not
-    // weather — retrying them would bias the §5 failure statistics.
-    if (!result.transient || attempt == max_attempts) break;
-    // One token buys one extra attempt; the acquire is a single CAS, so a
-    // budget of K yields exactly K survey-wide retries even with N workers
-    // racing for the last token (a failed acquire spends nothing).
-    if (budget != nullptr && !budget->try_acquire()) {
-      if (summary != nullptr) ++summary->budget_denied;
-      break;
-    }
-    retries_total.inc();
-    retry_counter(result.error).inc();
-    if (summary != nullptr) ++summary->retries;
-    std::uint64_t backoff = retry_.backoff_ms(attempt, sni, vantage);
-    backoff_total.inc(backoff);
-    if (summary != nullptr) summary->backoff_ms_total += backoff;
-    clock().sleep_ms(backoff);
+  const Bytes flight = prober_spec().flight(sni);
+  Exchange ex = exchange(sni, vantage, family_, BytesView(flight.data(), flight.size()),
+                         breaker, sni, budget);
+  if (ex.error == ProbeError::kSkipped) {
+    error_counter(ProbeError::kSkipped).inc();
+    skipped.inc();
+    ++summary.skipped_probes;
+    return ProbeResult::skipped_by_breaker(sni, vantage);
   }
-  attempts_hist.observe(static_cast<std::uint64_t>(result.attempts));
-  if (summary != nullptr) {
-    summary->attempts += static_cast<std::uint64_t>(result.attempts);
+  total.inc();
+
+  ProbeResult result;
+  result.sni = sni;
+  result.vantage = vantage;
+  result.family = family_;
+  result.attempts = ex.attempts;
+  result.transient = ex.transient;
+  result.error = ex.error;
+  result.error_detail = std::move(ex.detail);
+  if (ex.error == ProbeError::kNone) {
+    ServerFlight parsed = parse_server_flight(
+        BytesView(ex.response.data(), ex.response.size()), SIZE_MAX, true);
+    if (parsed.hello.has_value()) result.negotiated_suite = parsed.hello->cipher_suite;
+    if (parsed.alert.has_value()) {
+      result.error = ProbeError::kAlert;
+      result.error_detail =
+          "alert: " + tls::alert_description_name(parsed.alert->description);
+    } else if (!parsed.error.empty()) {
+      result.error = ProbeError::kParse;
+      result.error_detail = std::move(parsed.error);
+    } else {
+      result.reachable = true;
+      result.chain = std::move(parsed.chain);
+      result.stapled = std::move(parsed.staple);
+    }
   }
 
+  attempts_hist.observe(static_cast<std::uint64_t>(result.attempts));
+  summary.attempts += static_cast<std::uint64_t>(result.attempts);
+  summary.retries += static_cast<std::uint64_t>(result.attempts - 1);
+  summary.backoff_ms_total += ex.backoff_ms;
+  if (ex.budget_denied) ++summary.budget_denied;
   if (result.reachable) {
-    reachable_counter(vantage).inc();
+    vantage_counter(true, vantage).inc();
     if (result.attempts > 1) {
       recovered.inc();
-      if (summary != nullptr) ++summary->recovered_probes;
+      ++summary.recovered_probes;
     }
+    return result;
+  }
+  vantage_counter(false, vantage).inc();
+  error_counter(result.error).inc();
+  if (result.transient) {
+    transient_fail.inc();
+    ++summary.transient_failures;
   } else {
-    unreachable_counter(vantage).inc();
-    error_counter(result.error).inc();
-    if (result.transient) {
-      transient_fail.inc();
-      if (summary != nullptr) ++summary->transient_failures;
-    } else {
-      persistent_fail.inc();
-      if (summary != nullptr) ++summary->persistent_failures;
-    }
-    if (obs::logger().enabled(obs::LogLevel::kDebug)) {
-      obs::logger().debug("probe failed",
-                          {{"sni", sni},
-                           {"vantage", vantage_slug(vantage)},
-                           {"category", probe_error_name(result.error)},
-                           {"attempts", std::to_string(result.attempts)},
-                           {"weather", result.transient ? "transient" : "persistent"},
-                           {"detail", result.error_detail}});
-    }
+    persistent_fail.inc();
+    ++summary.persistent_failures;
+  }
+  if (obs::logger().enabled(obs::LogLevel::kDebug)) {
+    obs::logger().debug("probe failed",
+                        {{"sni", sni},
+                         {"vantage", vantage_slug(vantage)},
+                         {"category", probe_error_name(result.error)},
+                         {"attempts", std::to_string(result.attempts)},
+                         {"weather", result.transient ? "transient" : "persistent"},
+                         {"detail", result.error_detail}});
   }
   return result;
 }
 
 ProbeResult TlsProber::probe(const std::string& sni, VantagePoint vantage) const {
-  return probe_with_retries(sni, vantage, nullptr, nullptr);
+  DegradationSummary unused;
+  return probe_with(sni, vantage, nullptr, nullptr, unused);
+}
+
+MultiVantageResult TlsProber::probe_vantages(const std::string& sni,
+                                             CircuitBreaker* breaker,
+                                             RetryBudget* budget,
+                                             DegradationSummary& summary) const {
+  obs::TraceSpan trace_span("net.survey_one");
+  if (trace_span.active()) trace_span.detail("sni=" + sni);
+  MultiVantageResult multi;
+  multi.sni = sni;
+  for (VantagePoint v : kAllVantagePoints) {
+    multi.by_vantage[v] = probe_with(sni, v, breaker, budget, summary);
+  }
+  return multi;
 }
 
 MultiVantageResult TlsProber::probe_all_vantages(const std::string& sni) const {
-  MultiVantageResult out;
-  out.sni = sni;
-  for (VantagePoint v : kAllVantagePoints) out.by_vantage[v] = probe(sni, v);
-  return out;
+  DegradationSummary unused;
+  return probe_vantages(sni, nullptr, nullptr, unused);
 }
 
 std::vector<MultiVantageResult> TlsProber::survey(
@@ -383,44 +269,10 @@ std::vector<MultiVantageResult> TlsProber::survey(
   return survey_report(snis).results;
 }
 
-MultiVantageResult TlsProber::survey_one(const std::string& sni,
-                                         CircuitBreaker& breaker,
-                                         RetryBudget& budget,
-                                         DegradationSummary& summary) const {
-  static obs::Counter& skipped_counter =
-      obs::metrics().counter("net.probe.skipped.breaker");
-
-  obs::TraceSpan trace_span("net.survey_one");
-  if (trace_span.active()) trace_span.detail("sni=" + sni);
-
-  MultiVantageResult multi;
-  multi.sni = sni;
-  for (VantagePoint v : kAllVantagePoints) {
-    if (!breaker.allow(sni)) {
-      // Quarantined: report the gap honestly instead of blocking on a
-      // host the survey already knows is dead.
-      error_counter(ProbeError::kSkipped).inc();
-      skipped_counter.inc();
-      ++summary.skipped_probes;
-      multi.by_vantage[v] = ProbeResult::skipped_by_breaker(sni, v);
-      continue;
-    }
-    ProbeResult r = probe_with_retries(sni, v, &budget, &summary);
-    if (r.reachable || !connectivity_failure(r.error)) {
-      breaker.record_success(sni);
-    } else {
-      breaker.record_failure(sni);
-    }
-    multi.by_vantage[v] = std::move(r);
-  }
-  return multi;
-}
-
 SurveyReport TlsProber::survey_report(const std::vector<std::string>& snis) const {
-  // Readiness for the export plane: the prober is "ready" unless every
-  // circuit breaker it has seen is open (total quarantine — retrying the
-  // survey right now would only burn budget). Registered once, on the
-  // first survey of the process; reads only the occupancy gauges below.
+  // Readiness for the export plane: "ready" unless every breaker the last
+  // survey left is open (total quarantine: retrying now would only burn
+  // budget). Registered on the first survey; reads the gauges below.
   static const obs::ScopedHealthCheck readiness(
       "net.prober", obs::HealthKind::kReadiness, [] {
         std::int64_t closed = obs::metrics().gauge("net.probe.breaker.closed").value();
@@ -439,54 +291,14 @@ SurveyReport TlsProber::survey_report(const std::vector<std::string>& snis) cons
   auto span = obs::tracer().span("probe");
 
   SurveyReport report;
-  report.results.resize(snis.size());
   report.summary.snis = snis.size();
-
-  RetryBudget budget(retry_.retry_budget);
-
-  // Shard by distinct SNI, first-occurrence order. All occurrences of one
-  // SNI stay in one shard and run in input order, so its circuit-breaker
-  // history (per-SNI state, nothing cross-SNI) and its fault-injector
-  // attempt counters evolve exactly as in the sequential walk; distinct
-  // SNIs are independent and may run on any worker.
-  std::vector<std::vector<std::size_t>> groups;
-  {
-    std::map<std::string, std::size_t> group_of;
-    for (std::size_t i = 0; i < snis.size(); ++i) {
-      auto [it, fresh] = group_of.emplace(snis[i], groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-  }
-
-  // Per-shard state, merged after the join: degradation partials fold
-  // additively; breaker occupancy sums (each shard's breaker holds exactly
-  // the shard's one SNI). Result slots are pre-sized and index-disjoint,
-  // so workers write without coordination and the merged vector is in
-  // input order — bit-identical to the sequential walk.
-  std::vector<DegradationSummary> partials(groups.size());
-  std::vector<CircuitBreaker::Counts> occupancy(groups.size());
-
-  auto run_group = [&](std::size_t g) {
-    // Stage span per shard: rolls up into one deterministic `probe.shard`
-    // stats row (calls == shard count at every jobs level) and, when the
-    // flight recorder is on, draws the shard as a bar on its worker's
-    // trace track with the per-SNI spans nested inside.
-    auto shard_span = obs::tracer().span("probe.shard");
-    CircuitBreaker breaker(breaker_config_);
-    for (std::size_t index : groups[g]) {
-      report.results[index] =
-          survey_one(snis[index], breaker, budget, partials[g]);
-      shard_span.add_items();
-    }
-    occupancy[g] = breaker.counts();
-  };
-
-  exec::parallel_for(jobs_, groups.size(), run_group);
-
-  for (const DegradationSummary& partial : partials) {
-    report.summary.merge(partial);
-  }
+  RetryBudget budget(retry_policy().retry_budget);
+  const CircuitBreaker::Counts counts = survey_shards(
+      snis, "probe.shard", report.results, report.summary,
+      [&](const std::string& sni, CircuitBreaker& breaker,
+          DegradationSummary& partial) {
+        return probe_vantages(sni, &breaker, &budget, partial);
+      });
 
   // Per-SNI classification, in input order on the calling thread (the
   // probe span and its failure tags therefore never race).
@@ -513,12 +325,6 @@ SurveyReport TlsProber::survey_report(const std::vector<std::string>& snis) cons
   }
 
   // Export breaker occupancy so a fleet dashboard sees quarantine pressure.
-  CircuitBreaker::Counts counts;
-  for (const CircuitBreaker::Counts& c : occupancy) {
-    counts.closed += c.closed;
-    counts.open += c.open;
-    counts.half_open += c.half_open;
-  }
   obs::metrics().gauge("net.probe.breaker.closed").set(
       static_cast<std::int64_t>(counts.closed));
   obs::metrics().gauge("net.probe.breaker.open").set(

@@ -2,21 +2,11 @@
 // (§5.1): connect to each SNI from each vantage point, record the served
 // chain, cross-check consistency across locations.
 //
-// Resilience: probes retry transient failures (timeout/connect) under a
-// configurable RetryPolicy with deterministic backoff, surveys enforce a
-// global retry budget and a per-SNI circuit breaker, and every result is
-// tagged transient vs persistent with its attempt count — so a survey under
-// network chaos degrades gracefully into partial results plus an explicit
-// degradation summary instead of silently undercounting reachability.
-//
-// Parallelism: survey()/survey_report() shard the walk over iotls::exec
-// when set_jobs(N > 1) — one shard per distinct SNI (all of an SNI's
-// occurrences stay in one shard, so its breaker history replays exactly),
-// results merged back in input order, per-shard degradation summaries
-// folded additively, and the retry budget shared through an atomic token
-// bucket. Per-(SNI, vantage, attempt) fault and jitter streams are already
-// order-independent, so the parallel report is bit-identical to the
-// sequential one.
+// Resilience: the prober runs on the shared probe engine (net/engine.hpp):
+// retries under a RetryPolicy, a survey-wide retry budget and a per-SNI
+// circuit breaker. Every result is tagged transient vs persistent with its
+// attempt count, so a survey under network chaos degrades into partial
+// results plus an explicit degradation summary.
 #pragma once
 
 #include <map>
@@ -24,13 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "net/internet.hpp"
-#include "net/probe_error.hpp"
-#include "net/retry.hpp"
-#include "net/vantage.hpp"
-#include "tls/serverhello.hpp"
-#include "x509/certificate.hpp"
-#include "x509/revocation.hpp"
+#include "net/engine.hpp"
 
 namespace iotls::net {
 
@@ -58,12 +42,8 @@ struct ProbeResult {
   /// never attempted (error == kSkipped, attempts == 0).
   bool quarantined = false;
 
-  /// The one way to build a breaker-skipped result. Pins the quarantine
-  /// invariant — `quarantined` implies `error == kSkipped` AND
-  /// `attempts == 0` (no connection was ever opened) — in a single place,
-  /// instead of every survey path re-assembling the fields (and one of
-  /// them inheriting the `attempts = 1` default, which contradicts the
-  /// invariant documented above).
+  /// The one way to build a breaker-skipped result: `quarantined` implies
+  /// `error == kSkipped` and `attempts == 0`.
   static ProbeResult skipped_by_breaker(std::string sni, VantagePoint vantage);
 
   /// Legacy display string: the detail when present, else the category name;
@@ -110,10 +90,8 @@ struct DegradationSummary {
   std::uint64_t budget_denied = 0;        // retries forgone: budget exhausted
   std::uint64_t backoff_ms_total = 0;     // virtual time slept between tries
 
-  /// Fold another summary in (additive fields only). Used by the parallel
-  /// survey executor to merge per-shard accounting; addition commutes, so
-  /// the merged totals equal the sequential walk's regardless of shard
-  /// completion order.
+  /// Fold another summary in (additive fields only): per-shard partials
+  /// merge in shard order.
   void merge(const DegradationSummary& other);
 
   std::string to_string() const;
@@ -126,44 +104,22 @@ struct SurveyReport {
 };
 
 /// The prober drives full wire handshakes against an Internet (the
-/// simulation itself, or a FaultInjector wrapped around it).
-class TlsProber {
+/// simulation itself, or a FaultInjector wrapped around it): one fixed
+/// hello from every vantage point, on the shared probe engine.
+class TlsProber : private ProbeEngine {
  public:
-  explicit TlsProber(const Internet& internet) : internet_(&internet) {}
+  explicit TlsProber(const Internet& internet);
 
-  /// Retry discipline for every probe. Default: single attempt (the
-  /// historical fail-fast behaviour).
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
-  /// Per-SNI circuit breaker used by survey(). Default: open after 3
-  /// consecutive connectivity failures — which a distinct-SNI survey never
-  /// notices (each SNI sees exactly 3 probes), but repeated passes over a
-  /// dead host skip it. failure_threshold 0 disables quarantining.
-  void set_breaker(const BreakerConfig& config) { breaker_config_ = config; }
-  const BreakerConfig& breaker_config() const { return breaker_config_; }
+  using ProbeEngine::set_breaker;  // keyed per SNI
+  using ProbeEngine::set_clock;
+  using ProbeEngine::set_jobs;
+  using ProbeEngine::set_retry_policy;
 
   /// Address family every probe travels over. Default IPv4 — the §5
   /// pipeline's historical behaviour; set kIPv6 to walk the same survey
   /// over the v6 frontends (v4-only servers then report dns failures,
   /// "no AAAA record").
   void set_family(AddressFamily family) { family_ = family; }
-  AddressFamily family() const { return family_; }
-
-  /// Clock that backoff sleeps advance; defaults to an internal
-  /// VirtualClock (instant, deterministic). Non-owning.
-  void set_clock(Clock* clock) { clock_ = clock; }
-  Clock& clock() const { return clock_ != nullptr ? *clock_ : own_clock_; }
-
-  /// Worker threads for survey()/survey_report(). 1 (the default) walks
-  /// the survey sequentially on the calling thread; N > 1 shards SNI
-  /// groups across a work-stealing pool; 0 asks the hardware. Whatever the
-  /// value, the report is bit-identical to the sequential walk as long as
-  /// the retry budget does not exhaust mid-survey and the fault spec uses
-  /// no outage windows (see README "Parallelism" for why those two are
-  /// walk-order-dependent).
-  void set_jobs(int jobs) { jobs_ = jobs; }
-  int jobs() const { return jobs_; }
 
   /// Probe one SNI from one vantage point (retries per the policy; no
   /// budget, no breaker — those are survey-scoped).
@@ -175,31 +131,24 @@ class TlsProber {
   /// Probe a list of SNIs from all vantage points.
   std::vector<MultiVantageResult> survey(const std::vector<std::string>& snis) const;
 
-  /// survey() plus the degradation summary and breaker bookkeeping.
+  /// survey() plus the degradation summary and breaker bookkeeping. The
+  /// survey's retry budget is shared by all shards.
   SurveyReport survey_report(const std::vector<std::string>& snis) const;
 
  private:
-  /// One connection attempt, no retries — the seed prober's body.
-  ProbeResult probe_once(const std::string& sni, VantagePoint vantage) const;
-  /// Full retry loop. `budget` (nullable) is the survey's shared retry
-  /// token bucket; `summary` (nullable) accumulates degradation stats.
-  ProbeResult probe_with_retries(const std::string& sni, VantagePoint vantage,
-                                 RetryBudget* budget,
-                                 DegradationSummary* summary) const;
-  /// One survey occurrence of `sni`: all vantage points in order, gated by
-  /// that SNI's breaker. `summary` gains only per-probe (additive) fields;
-  /// per-SNI classification happens at merge time.
-  MultiVantageResult survey_one(const std::string& sni, CircuitBreaker& breaker,
-                                RetryBudget& budget,
-                                DegradationSummary& summary) const;
+  /// One probe: the exchange (gated by `breaker` and drawing on `budget`
+  /// when given), the flight parse, and the net.probe.* and `summary`
+  /// accounting.
+  ProbeResult probe_with(const std::string& sni, VantagePoint vantage,
+                         CircuitBreaker* breaker, RetryBudget* budget,
+                         DegradationSummary& summary) const;
+  /// All vantage points in order for one occurrence of `sni`.
+  MultiVantageResult probe_vantages(const std::string& sni,
+                                    CircuitBreaker* breaker,
+                                    RetryBudget* budget,
+                                    DegradationSummary& summary) const;
 
-  const Internet* internet_;
-  RetryPolicy retry_;
-  BreakerConfig breaker_config_;
   AddressFamily family_ = AddressFamily::kIPv4;
-  Clock* clock_ = nullptr;
-  int jobs_ = 1;
-  mutable VirtualClock own_clock_;
 };
 
 }  // namespace iotls::net

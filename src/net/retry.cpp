@@ -6,6 +6,19 @@
 
 namespace iotls::net {
 
+std::string probe_error_name(ProbeError e) {
+  switch (e) {
+    case ProbeError::kNone: return "none";
+    case ProbeError::kDns: return "dns";
+    case ProbeError::kConnect: return "connect";
+    case ProbeError::kAlert: return "alert";
+    case ProbeError::kParse: return "parse";
+    case ProbeError::kTimeout: return "timeout";
+    case ProbeError::kSkipped: return "skipped";
+  }
+  return "?";
+}
+
 std::uint64_t RetryPolicy::backoff_ms(int k, const std::string& sni,
                                       VantagePoint vantage) const {
   if (k < 1) return 0;

@@ -1,5 +1,5 @@
-// Resilience policy for the probing pipeline (§5.1): retry discipline,
-// deterministic backoff, and a per-SNI circuit breaker.
+// Resilience policy for the probing pipeline (§5.1): the failure taxonomy,
+// retry discipline, deterministic backoff, and a per-SNI circuit breaker.
 //
 // Active-measurement studies must separate transient network failure from
 // persistent unreachability before reporting reachability numbers (the
@@ -19,10 +19,23 @@
 #include <string>
 #include <vector>
 
-#include "net/probe_error.hpp"
 #include "net/vantage.hpp"
 
 namespace iotls::net {
+
+/// Why a probe failed. Categories are assigned structurally (from NetError
+/// kinds, alerts and parse outcomes), never by matching message strings.
+enum class ProbeError {
+  kNone,     // probe succeeded
+  kDns,      // name did not resolve (no route to any host)
+  kConnect,  // connection-level refusal before the handshake
+  kAlert,    // server answered with a fatal TLS alert
+  kParse,    // response bytes were not a decodable handshake
+  kTimeout,  // host known but unreachable from this vantage
+  kSkipped,  // probe never attempted (circuit breaker open)
+};
+
+std::string probe_error_name(ProbeError e);
 
 /// Injectable time source. The prober "sleeps" between attempts by
 /// advancing the clock; the default VirtualClock makes that a no-op in
@@ -74,8 +87,9 @@ struct RetryPolicy {
   /// survey of mostly-dead hosts against attempt amplification.
   std::uint64_t retry_budget = UINT64_MAX;
 
-  /// Only transient network categories are retried; definitive server
-  /// behaviour (alert, parse, dns) never is.
+  /// Only network weather (timeout, connect) is retried. Definitive
+  /// categories (dns, alert, parse) are the server's actual behaviour:
+  /// retrying them would only distort the failure statistics.
   static bool retryable(ProbeError e) {
     return e == ProbeError::kTimeout || e == ProbeError::kConnect;
   }

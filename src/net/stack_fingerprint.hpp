@@ -15,14 +15,10 @@
 // cross-checks that document against standard_battery() — the fingerprint
 // is reproducible from the doc alone.
 //
-// Determinism contract (same as TlsProber): all probes of one SNI run in
-// one shard in a fixed order (family-major, then vantage, then battery
-// index), retries draw per-(SNI, vantage, attempt) fault/jitter streams,
-// and per-shard summaries fold additively in input order — so a survey is
-// byte-identical at any --jobs level, fault injection included. The
-// survey-wide retry *budget* is deliberately not consulted (budget
-// exhaustion is walk-order dependent); only RetryPolicy::max_attempts and
-// backoff apply.
+// The battery runs on the shared probe engine (net/engine.hpp) and keeps
+// its determinism contract: one SNI's probes run family-major, then by
+// vantage, then by battery index. No retry budget is consulted (budget
+// exhaustion is walk-order dependent); max_attempts and backoff apply.
 #pragma once
 
 #include <cstdint>
@@ -30,33 +26,9 @@
 #include <string>
 #include <vector>
 
-#include "net/internet.hpp"
-#include "net/retry.hpp"
-#include "net/vantage.hpp"
-#include "tls/clienthello.hpp"
+#include "net/engine.hpp"
 
 namespace iotls::net {
-
-/// One declarative battery entry: everything needed to build its
-/// ClientHello. `extensions` lists the ordered extension type codes the
-/// hello carries; codes with content (0 = SNI, 16 = ALPN from `alpn`,
-/// 43 = supported_versions from `supported_versions`) get their payloads
-/// from the spec, all others are sent empty. `grease` prepends 0x0a0a to
-/// both the suite list and the extension list (RFC 8701; the value is
-/// fixed, not rotated, so the battery bytes are deterministic).
-struct ProbeSpec {
-  std::string name;
-  std::uint16_t legacy_version = 0x0303;
-  std::vector<std::uint16_t> cipher_suites;
-  std::vector<std::uint16_t> extensions;
-  std::vector<std::uint16_t> supported_versions;
-  std::vector<std::string> alpn;
-  bool grease = false;
-
-  /// The probe's ClientHello for `sni`. Deterministic: the hello random is
-  /// derived from (probe name, sni), nothing else.
-  tls::ClientHello build(const std::string& sni) const;
-};
 
 /// One battery entry's canonicalized outcome (docs/FINGERPRINTING.md §3):
 ///   "vvvv|cccc|eeee+eeee|proto"  ServerHello: selected version, cipher,
@@ -114,12 +86,10 @@ struct StackSurvey {
 };
 
 /// Drives the battery against an Internet (the simulation, or a
-/// FaultInjector wrapped around it). Mirrors TlsProber's configuration
-/// surface: retry policy, per-(SNI, family) circuit breaker, injectable
-/// clock, and jobs-sharded surveys with input-order merge.
-class StackFingerprinter {
+/// FaultInjector wrapped around it) on the shared probe engine.
+class StackFingerprinter : private ProbeEngine {
  public:
-  explicit StackFingerprinter(const Internet& internet) : internet_(&internet) {}
+  explicit StackFingerprinter(const Internet& internet);
 
   /// The normative K=10 battery of docs/FINGERPRINTING.md.
   static const std::vector<ProbeSpec>& standard_battery();
@@ -135,14 +105,13 @@ class StackFingerprinter {
   void set_families(std::vector<AddressFamily> families) {
     families_ = std::move(families);
   }
-  const std::vector<AddressFamily>& families() const { return families_; }
 
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  /// Breaker keyed per (SNI, family) — a dark v6 frontend must not
-  /// quarantine the v4 battery. failure_threshold 0 disables.
-  void set_breaker(const BreakerConfig& config) { breaker_config_ = config; }
-  void set_clock(Clock* clock) { clock_ = clock; }
-  void set_jobs(int jobs) { jobs_ = jobs; }
+  /// The breaker is keyed per (SNI, family): a dark v6 frontend must not
+  /// quarantine the v4 battery.
+  using ProbeEngine::set_breaker;
+  using ProbeEngine::set_clock;
+  using ProbeEngine::set_jobs;
+  using ProbeEngine::set_retry_policy;
 
   /// Run the battery at one (SNI, vantage, family); no breaker (that is
   /// survey-scoped).
@@ -163,14 +132,8 @@ class StackFingerprinter {
   ServerStackResult survey_one(const std::string& sni, CircuitBreaker& breaker,
                                StackSurveySummary& summary) const;
 
-  const Internet* internet_;
   std::vector<ProbeSpec> battery_ = standard_battery();
   std::vector<AddressFamily> families_ = {AddressFamily::kIPv4};
-  RetryPolicy retry_;
-  BreakerConfig breaker_config_;
-  Clock* clock_ = nullptr;
-  int jobs_ = 1;
-  mutable VirtualClock own_clock_;
 };
 
 }  // namespace iotls::net

@@ -2,6 +2,9 @@
 
 namespace iotls::net {
 
+namespace {
+
+/// Full-fidelity JSON value for one probe result.
 obs::Json probe_result_json(const ProbeResult& result) {
   obs::Json out{obs::Json::Object{}};
   out.set("sni", obs::Json(result.sni));
@@ -15,16 +18,11 @@ obs::Json probe_result_json(const ProbeResult& result) {
   out.set("reachable", obs::Json(result.reachable));
   out.set("negotiated_suite",
           obs::Json(static_cast<std::int64_t>(result.negotiated_suite)));
-  obs::Json chain{obs::Json::Array{}};
-  {
-    obs::Json::Array certs;
-    certs.reserve(result.chain.size());
-    for (const x509::Certificate& cert : result.chain) {
-      certs.emplace_back(cert.fingerprint());
-    }
-    chain = obs::Json(std::move(certs));
+  obs::Json::Array chain;
+  for (const x509::Certificate& cert : result.chain) {
+    chain.emplace_back(cert.fingerprint());
   }
-  out.set("chain", std::move(chain));
+  out.set("chain", obs::Json(std::move(chain)));
   out.set("stapled", obs::Json(result.stapled.has_value()));
   out.set("error", obs::Json(probe_error_name(result.error)));
   out.set("error_detail", obs::Json(result.error_detail));
@@ -33,6 +31,8 @@ obs::Json probe_result_json(const ProbeResult& result) {
   out.set("quarantined", obs::Json(result.quarantined));
   return out;
 }
+
+}  // namespace
 
 obs::Json survey_report_json(const SurveyReport& report) {
   obs::Json::Array results;

@@ -16,9 +16,6 @@
 
 namespace iotls::net {
 
-/// Full-fidelity JSON value for one probe result.
-obs::Json probe_result_json(const ProbeResult& result);
-
 /// {"results":[...],"summary":{...}} — results in survey input order,
 /// vantages in enum order within each SNI.
 obs::Json survey_report_json(const SurveyReport& report);

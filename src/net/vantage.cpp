@@ -19,10 +19,4 @@ std::string family_name(AddressFamily f) {
   return "?";
 }
 
-std::optional<AddressFamily> parse_family(const std::string& name) {
-  if (name == "v4") return AddressFamily::kIPv4;
-  if (name == "v6") return AddressFamily::kIPv6;
-  return std::nullopt;
-}
-
 }  // namespace iotls::net

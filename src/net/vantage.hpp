@@ -4,7 +4,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <string>
 
 namespace iotls::net {
@@ -22,13 +21,9 @@ std::string vantage_name(VantagePoint v);
 /// family is optional — pre-dual-stack reports stay byte-identical.
 enum class AddressFamily { kIPv4, kIPv6 };
 
-constexpr std::array<AddressFamily, 2> kAllAddressFamilies = {
-    AddressFamily::kIPv4, AddressFamily::kIPv6};
 
 /// Short wire/report slug: "v4" / "v6".
 std::string family_name(AddressFamily f);
 
-/// Parse "v4"/"v6" (the CLI/report slugs); nullopt on anything else.
-std::optional<AddressFamily> parse_family(const std::string& name);
 
 }  // namespace iotls::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <stdexcept>
 
 #include "corpus/corpus.hpp"
@@ -58,7 +59,6 @@ std::uint64_t StreamIngest::fold_epoch(
       stats.certs_ms = ms_since(t);
       stats.snis_probed = folded.snis_probed;
       stats.records_refreshed = folded.records_refreshed;
-      if (folded.snis_probed > 0) stacks_.reset();  // new records to battery
     }
     last_fold_ = stats;
   }
@@ -107,58 +107,57 @@ core::ServerTieReport StreamIngest::server_ties() {
 }
 
 const net::StackSurvey& StreamIngest::stacks() {
-  if (stacks_.has_value()) return *stacks_;
-  const core::CertDataset* certs = &require_certs(this->certs(), "stacks");
+  const std::vector<core::SniRecord>& records =
+      require_certs(certs(), "stacks").records();
+  if (stacks_.results.size() == records.size()) return stacks_;
 
-  // Battery only the SNIs this ingest has never fingerprinted. Per-SNI
-  // results are pure (the battery visits one SNI's probes in a fixed
-  // family-major order and the injector's decision streams are keyed per
-  // (SNI, vantage, attempt)), so epoch-by-epoch fresh batches compose to
-  // the same bytes a cold batch survey produces.
-  std::vector<std::string> all;
+  // Battery only the SNIs this ingest has never fingerprinted. Records and
+  // results are both in SNI order and records only grow, so one merge walk
+  // finds them. Per-SNI results are pure (the battery visits one SNI's
+  // probes in a fixed family-major order and the injector's decision
+  // streams are keyed per (SNI, vantage, attempt)), so epoch-by-epoch fresh
+  // batches compose to the same bytes a cold batch survey produces.
   std::vector<std::string> fresh;
-  all.reserve(certs->records().size());
-  for (const core::SniRecord& record : certs->records()) {
-    all.push_back(record.sni);
-    if (stack_memo_.count(record.sni) == 0) fresh.push_back(record.sni);
+  for (std::size_t have = 0; const core::SniRecord& record : records) {
+    if (have < stacks_.results.size() && stacks_.results[have].sni == record.sni) {
+      ++have;
+    } else {
+      fresh.push_back(record.sni);
+    }
   }
 
-  if (!fresh.empty()) {
-    const net::Internet* internet = &world_->internet;
-    if (config_.fault.any()) {
-      // Battery-private injector: the cert prober's attempt counters must
-      // keep their historical sequence.
-      if (stack_injector_ == nullptr) {
-        stack_injector_ = std::make_unique<net::FaultInjector>(world_->internet,
-                                                               config_.fault);
-      }
-      internet = stack_injector_.get();
+  const net::Internet* internet = &world_->internet;
+  if (config_.fault.any()) {
+    // Battery-private injector: the cert prober's attempt counters must
+    // keep their historical sequence.
+    if (stack_injector_ == nullptr) {
+      stack_injector_ = std::make_unique<net::FaultInjector>(world_->internet,
+                                                             config_.fault);
     }
-    net::StackFingerprinter fingerprinter(*internet);
-    fingerprinter.set_families(
-        {net::AddressFamily::kIPv4, net::AddressFamily::kIPv6});
-    fingerprinter.set_jobs(config_.jobs);
-    if (config_.fault.any()) {
-      net::RetryPolicy retry;
-      retry.max_attempts = 3;  // ride out injected weather, deterministically
-      fingerprinter.set_retry_policy(retry);
-    }
-    net::StackSurvey batch = fingerprinter.survey(fresh);
-    for (net::ServerStackResult& result : batch.results) {
-      std::string sni = result.sni;
-      stack_memo_[std::move(sni)] = std::move(result);
-    }
-    stack_summary_.merge(batch.summary);
+    internet = stack_injector_.get();
   }
+  net::StackFingerprinter fingerprinter(*internet);
+  fingerprinter.set_families({net::AddressFamily::kIPv4, net::AddressFamily::kIPv6});
+  fingerprinter.set_jobs(config_.jobs);
+  if (config_.fault.any()) {
+    net::RetryPolicy retry;
+    retry.max_attempts = 3;  // ride out injected weather, deterministically
+    fingerprinter.set_retry_policy(retry);
+  }
+  net::StackSurvey batch = fingerprinter.survey(fresh);
 
-  net::StackSurvey assembled;
-  assembled.summary = stack_summary_;
-  assembled.results.reserve(all.size());
-  for (const std::string& sni : all) {
-    assembled.results.push_back(stack_memo_.at(sni));
-  }
-  stacks_ = std::move(assembled);
-  return *stacks_;
+  std::vector<net::ServerStackResult> merged;
+  merged.reserve(records.size());
+  std::merge(std::make_move_iterator(stacks_.results.begin()),
+             std::make_move_iterator(stacks_.results.end()),
+             std::make_move_iterator(batch.results.begin()),
+             std::make_move_iterator(batch.results.end()), std::back_inserter(merged),
+             [](const net::ServerStackResult& a, const net::ServerStackResult& b) {
+               return a.sni < b.sni;
+             });
+  stacks_.results = std::move(merged);
+  stacks_.summary.merge(batch.summary);
+  return stacks_;
 }
 
 }  // namespace iotls::stream

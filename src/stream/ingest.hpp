@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/cert_dataset.hpp"
@@ -145,10 +144,8 @@ class StreamIngest {
   std::unique_ptr<net::FaultInjector> injector_;
   core::ProbeMemo memo_;  // the resident CertDataset
   FoldStats last_fold_;
-  // Assembled battery view; reset when a fold adds records.
-  std::optional<net::StackSurvey> stacks_;
-  std::map<std::string, net::ServerStackResult> stack_memo_;
-  net::StackSurveySummary stack_summary_;   // accumulates fresh batches
+  // Battery results in records() order; each fresh batch merges in.
+  net::StackSurvey stacks_;
   std::unique_ptr<net::FaultInjector> stack_injector_;
   // Per-record and per-fingerprint report facts, filled on the render path.
   std::shared_ptr<core::ChainMemo> chain_memo_ = std::make_shared<core::ChainMemo>();

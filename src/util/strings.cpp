@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstdio>
@@ -75,21 +76,24 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 std::string second_level_domain(std::string_view fqdn) {
   static const std::array<std::string_view, 6> kTwoPartSuffixes = {
       "co.kr", "co.uk", "co.jp", "com.cn", "com.br", "net.au"};
-  std::vector<std::string> labels = split(fqdn, '.');
-  if (labels.size() <= 2) return std::string(fqdn);
-  std::string last_two = labels[labels.size() - 2] + "." + labels.back();
-  bool two_part_suffix = false;
-  for (auto suffix : kTwoPartSuffixes) {
-    if (last_two == suffix) {
-      two_part_suffix = true;
-      break;
+  // Start of the suffix after the k-th '.' from the end; npos when the
+  // name has fewer than k dots (k + 1 labels).
+  auto suffix_start = [fqdn](int k) {
+    std::size_t dot = fqdn.size();
+    for (int i = 0; i < k; ++i) {
+      if (dot == 0) return std::string_view::npos;
+      dot = fqdn.rfind('.', dot - 1);
+      if (dot == std::string_view::npos) return dot;
     }
-  }
-  std::size_t keep = two_part_suffix ? 3 : 2;
-  if (labels.size() <= keep) return std::string(fqdn);
-  std::vector<std::string> tail(labels.end() - static_cast<std::ptrdiff_t>(keep),
-                                labels.end());
-  return join(tail, ".");
+    return dot + 1;
+  };
+  const std::size_t last_two = suffix_start(2);
+  if (last_two == std::string_view::npos) return std::string(fqdn);
+  const bool two_part_suffix =
+      std::find(kTwoPartSuffixes.begin(), kTwoPartSuffixes.end(),
+                fqdn.substr(last_two)) != kTwoPartSuffixes.end();
+  const std::size_t keep = two_part_suffix ? suffix_start(3) : last_two;
+  return std::string(keep == std::string_view::npos ? fqdn : fqdn.substr(keep));
 }
 
 std::string fmt_double(double v, int decimals) {

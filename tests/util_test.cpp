@@ -6,6 +6,7 @@
 #include <cstring>
 #include <set>
 #include <string_view>
+#include <vector>
 
 #include "util/arena.hpp"
 #include "util/crc32.hpp"
@@ -234,6 +235,54 @@ TEST(Strings, SecondLevelDomain) {
   EXPECT_EQ(second_level_domain("pavv.co.kr"), "pavv.co.kr");
   EXPECT_EQ(second_level_domain("x.pavv.co.kr"), "pavv.co.kr");
   EXPECT_EQ(second_level_domain("localhost"), "localhost");
+}
+
+/// The split-and-join body second_level_domain had before it moved to
+/// string_view suffix scans, kept as the reference the rewrite must match.
+std::string reference_second_level_domain(std::string_view fqdn) {
+  static const std::array<std::string_view, 6> kTwoPartSuffixes = {
+      "co.kr", "co.uk", "co.jp", "com.cn", "com.br", "net.au"};
+  std::vector<std::string> labels = split(fqdn, '.');
+  if (labels.size() <= 2) return std::string(fqdn);
+  std::string last_two = labels[labels.size() - 2] + "." + labels.back();
+  bool two_part_suffix = false;
+  for (auto suffix : kTwoPartSuffixes) {
+    if (last_two == suffix) {
+      two_part_suffix = true;
+      break;
+    }
+  }
+  std::size_t keep = two_part_suffix ? 3 : 2;
+  if (labels.size() <= keep) return std::string(fqdn);
+  std::vector<std::string> tail(labels.end() - static_cast<std::ptrdiff_t>(keep),
+                                labels.end());
+  return join(tail, ".");
+}
+
+// Every name of 1-4 labels over an alphabet with the empty label (leading,
+// trailing and doubled dots), plain labels and every part of every two-part
+// suffix, so each two-part suffix appears with 0, 1 and 2 labels in front.
+TEST(Strings, SecondLevelDomainMatchesReferenceOnAllShortNames) {
+  const std::vector<std::string> alphabet = {"",   "a",  "pavv", "co", "com",
+                                             "net", "kr", "uk",  "jp", "cn",
+                                             "br",  "au"};
+  std::vector<std::string> names;
+  std::vector<std::string> frontier = {""};
+  for (int labels = 1; labels <= 4; ++labels) {
+    std::vector<std::string> next;
+    for (const std::string& prefix : frontier) {
+      for (const std::string& label : alphabet) {
+        next.push_back(labels == 1 ? label : prefix + "." + label);
+      }
+    }
+    names.insert(names.end(), next.begin(), next.end());
+    frontier = std::move(next);
+  }
+  ASSERT_EQ(names.size(), 12u + 144u + 1728u + 20736u);
+  for (const std::string& name : names) {
+    ASSERT_EQ(second_level_domain(name), reference_second_level_domain(name))
+        << "fqdn '" << name << "'";
+  }
 }
 
 TEST(Strings, Percent) {
