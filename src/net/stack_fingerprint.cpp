@@ -57,10 +57,9 @@ std::string canonicalize(const ServerFlight& flight) {
     if (!exts.empty()) exts += '+';
     exts += hex4(e.type);
   }
-  if (exts.empty()) exts = "-";
-  std::string alpn = alpn_of_serverhello(sh);
+  const std::string alpn = alpn_of_serverhello(sh);
   return hex4(version_of_serverhello(sh)) + "|" + hex4(sh.cipher_suite) + "|" +
-         exts + "|" + (alpn.empty() ? "-" : alpn);
+         (exts.empty() ? "-" : exts) + "|" + (alpn.empty() ? "-" : alpn);
 }
 
 }  // namespace

@@ -155,8 +155,8 @@ class SurveyCounters {
 };
 
 /// The §5 survey of every world SNI under kSurveyFaults with 3 attempts per
-/// probe, through a fresh injector and clock: survey_report_json with one
-/// result per line, then the summary, then the counters.
+/// probe, through a fresh injector and clock: survey_report_dump split into
+/// one line per result and one for the summary, then the counters.
 std::string prober_survey(int jobs, std::uint64_t retry_budget) {
   net::FaultInjector injector(survey_world().internet,
                               net::FaultSpec::parse(kSurveyFaults));
@@ -169,13 +169,20 @@ std::string prober_survey(int jobs, std::uint64_t retry_budget) {
   prober.set_clock(&clock);
   prober.set_jobs(jobs);
   SurveyCounters counters;
-  const obs::Json doc =
-      net::survey_report_json(prober.survey_report(survey_snis(1)));
+  const net::SurveyReport report = prober.survey_report(survey_snis(1));
+  const obs::Json doc = net::survey_report_json(report);
   std::string out;
+  std::string joined;
   for (const obs::Json& result : doc.find("results")->as_array()) {
-    out += result.dump() + "\n";
+    const std::string line = result.dump();
+    out += line + "\n";
+    if (!joined.empty()) joined += ',';
+    joined += line;
   }
-  return out + doc.find("summary")->dump() + "\n" + counters.text(clock);
+  const std::string summary = doc.find("summary")->dump();
+  EXPECT_EQ("{\"results\":[" + joined + "],\"summary\":" + summary + "}",
+            net::survey_report_dump(report));
+  return out + summary + "\n" + counters.text(clock);
 }
 
 TEST(GoldenSurveys, ProberUnderFaultsJobs1) {
