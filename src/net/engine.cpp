@@ -2,6 +2,7 @@
 
 #include "tls/record.hpp"
 #include "util/error.hpp"
+#include "util/reader.hpp"
 #include "util/rng.hpp"
 #include "util/writer.hpp"
 
@@ -85,30 +86,29 @@ Bytes ProbeSpec::flight(const std::string& sni) const {
 ServerFlight parse_server_flight(BytesView records, std::size_t max_certs,
                                  bool staple) {
   ServerFlight flight;
-  // A fatal alert instead of a ServerHello: reachable at the TCP level, but
-  // the handshake was refused.
-  flight.alert = tls::find_alert(records);
-  if (flight.alert.has_value()) return flight;
   try {
-    Bytes handshakes = tls::handshake_payload(tls::parse_records(records));
-    for (const tls::HandshakeMessage& m :
-         tls::split_handshakes(BytesView(handshakes.data(), handshakes.size()))) {
-      const BytesView body(m.body.data(), m.body.size());
+    // One walk over the records; every message below is read in place.
+    const tls::RecordStream stream(records);
+    // A fatal alert instead of a ServerHello: reachable at the TCP level,
+    // but the handshake was refused.
+    flight.alert = tls::find_alert(stream);
+    if (flight.alert.has_value()) return flight;
+    const BytesView handshakes = stream.handshakes();
+    // The whole framing is checked before any message is read, so a
+    // truncated trailing message fails the flight as a unit.
+    for (Reader r(handshakes); !r.empty();) tls::read_handshake(r);
+    for (Reader r(handshakes); !r.empty();) {
+      const tls::HandshakeView m = tls::read_handshake(r);
       if (m.type == tls::HandshakeType::kServerHello) {
-        Bytes framed = tls::encode_handshake(m.type, body);
-        flight.hello = tls::ServerHello::parse(BytesView(framed.data(), framed.size()));
+        flight.hello = tls::ServerHello::parse(m.framed);
       } else if (m.type == tls::HandshakeType::kCertificate &&
                  flight.chain.size() < max_certs) {
-        Bytes framed = tls::encode_handshake(m.type, body);
-        auto cert_msg =
-            tls::CertificateMsg::parse(BytesView(framed.data(), framed.size()));
-        for (const Bytes& der : cert_msg.chain) {
-          if (flight.chain.size() == max_certs) break;
-          flight.chain.push_back(
-              x509::Certificate::parse(BytesView(der.data(), der.size())));
-        }
+        tls::CertificateMsgView::parse(m.framed).for_each([&](BytesView der) {
+          flight.chain.push_back(x509::Certificate::parse(der));
+          return flight.chain.size() < max_certs;
+        });
       } else if (m.type == tls::HandshakeType::kCertificateStatus && staple) {
-        flight.staple = x509::OcspResponse::parse(body);
+        flight.staple = x509::OcspResponse::parse(m.body());
       }
     }
   } catch (const ParseError& e) {
@@ -144,21 +144,24 @@ Exchange ProbeEngine::exchange(const std::string& sni, VantagePoint vantage,
   for (int attempt = 1;; ++attempt) {
     ex.attempts = attempt;
     attempts_.inc();
-    try {
+    ConnectResult answer = [&] {
       obs::ScopedTimer timer(handshake_ns_);
-      ex.response = internet_->connect(vantage, family, flight);
+      return internet_->connect(vantage, family, flight);
+    }();
+    if (answer.ok()) {
+      ex.response = std::move(answer.response);
       ex.error = ProbeError::kNone;
       ex.detail.clear();
       ex.transient = false;
       break;
-    } catch (const NetError& e) {
-      ex.error = classify_net_error(e.kind());
-      ex.detail = e.what();
-      // Only network weather earns another attempt. dns ("no AAAA") and a
-      // hello the network refuses outright (no SNI) are definitive.
-      ex.transient = e.kind() != NetError::Kind::kProtocol &&
-                     RetryPolicy::retryable(ex.error);
     }
+    const NetError& failure = *answer.error;
+    ex.error = classify_net_error(failure.kind());
+    ex.detail = failure.what();
+    // Only network weather earns another attempt. dns ("no AAAA") and a
+    // hello the network refuses outright (no SNI) are definitive.
+    ex.transient = failure.kind() != NetError::Kind::kProtocol &&
+                   RetryPolicy::retryable(ex.error);
     if (!ex.transient || attempt == max_attempts) break;
     // One token buys one extra attempt; the acquire is a single CAS, so a
     // budget of K yields exactly K survey-wide retries even with N workers

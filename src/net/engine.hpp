@@ -83,9 +83,10 @@ struct ServerFlight {
 };
 
 /// Parse `records`: a fatal alert ends the parse; otherwise records ->
-/// handshakes -> ServerHello, Certificate and CertificateStatus messages.
-/// Only the first `max_certs` certificates are parsed (Certificate messages
-/// past them are skipped), and the staple only when `staple` is set.
+/// handshakes -> ServerHello, Certificate and CertificateStatus messages,
+/// each read in place from the records. Only the first `max_certs`
+/// certificates are parsed (later entries and Certificate messages are
+/// skipped), and the staple only when `staple` is set.
 ServerFlight parse_server_flight(BytesView records, std::size_t max_certs,
                                  bool staple);
 

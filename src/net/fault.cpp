@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "tls/record.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace iotls::net {
 
@@ -165,35 +165,40 @@ std::string FaultSpec::to_string() const {
   return out;
 }
 
-Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
-                             BytesView client_records) const {
-  // Routing key. A flight without an SNI is passed straight through — the
-  // upstream rejects it with its own (definitive) protocol error.
+ConnectResult FaultInjector::connect(VantagePoint vantage, AddressFamily family,
+                                     BytesView client_records) const {
+  // Routing key, read in place. A flight without an SNI is passed straight
+  // through — the upstream rejects it with its own (definitive) protocol
+  // error.
   //
   // The attempt counter and the decision stream are keyed by (SNI,
   // vantage), deliberately NOT by family: a v4-only walk draws exactly the
   // schedule it always drew, and a dual-stack walk that visits families in
   // a fixed per-SNI order (as the battery does) is equally deterministic.
-  tls::ClientHello hello = client_hello_of(client_records);
-  auto sni = hello.sni();
+  const tls::RecordStream records(client_records);
+  const std::optional<std::string_view> sni = client_hello_view_of(records).sni();
   if (!sni.has_value()) return upstream_->connect(vantage, family, client_records);
-
-  std::uint64_t attempt = 0;
-  std::uint64_t conn_index = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    attempt = attempts_[{*sni, vantage}]++;
-    conn_index = vantage_connects_[static_cast<std::size_t>(vantage)]++;
-    ++stats_.connects;
-  }
 
   // One decision stream per (seed, sni, vantage, attempt): replaying the
   // same probe sequence replays the same faults, and a *retry* is a new
   // attempt with fresh draws — exactly how transient weather behaves.
-  Rng rng = Rng(spec_.seed)
-                .fork(*sni)
-                .fork(vantage_name(vantage))
-                .fork("attempt" + std::to_string(attempt));
+  Rng rng(0);  // the attempt's stream, forked under the lock
+  std::uint64_t conn_index = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& routes = routes_[static_cast<std::size_t>(vantage)];
+    auto it = routes.find(*sni);
+    if (it == routes.end()) {
+      Rng stream = Rng(spec_.seed).fork(*sni).fork(vantage_name(vantage));
+      it = routes.emplace(std::string(*sni), Route{0, stream}).first;
+    }
+    char attempt[32];
+    const int len = std::snprintf(attempt, sizeof attempt, "attempt%llu",
+                                  static_cast<unsigned long long>(it->second.attempts++));
+    rng = it->second.stream.fork(std::string_view(attempt, static_cast<std::size_t>(len)));
+    conn_index = vantage_connects_[static_cast<std::size_t>(vantage)]++;
+    ++stats_.connects;
+  }
 
   // One injected fault: the injector's stats and net.fault.injected.<kind>.
   auto tally = [this](std::uint64_t Stats::*field, obs::Counter& counter) {
@@ -202,6 +207,9 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
       ++(stats_.*field);
     }
     counter.inc();
+  };
+  auto failure = [&sni](std::string what, NetError::Kind kind) {
+    return NetError(what.append(*sni), kind);
   };
 
   if (spec_.latency_ms > 0 || spec_.latency_jitter_ms > 0) {
@@ -216,7 +224,7 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
     if (w.vantage == vantage && conn_index >= w.start && conn_index < w.end) {
       static obs::Counter& c = fault_counter("outage");
       tally(&Stats::outage_hits, c);
-      throw NetError("injected outage at " + vantage_name(vantage) + ": " + *sni,
+      return failure("injected outage at " + vantage_name(vantage) + ": ",
                      NetError::Kind::kTimeout);
     }
   }
@@ -224,15 +232,17 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
   if (rng.chance(spec_.timeout_rate)) {
     static obs::Counter& c = fault_counter("timeout");
     tally(&Stats::timeouts, c);
-    throw NetError("injected timeout: " + *sni, NetError::Kind::kTimeout);
+    return failure("injected timeout: ", NetError::Kind::kTimeout);
   }
   if (rng.chance(spec_.reset_rate)) {
     static obs::Counter& c = fault_counter("reset");
     tally(&Stats::resets, c);
-    throw NetError("injected connection reset: " + *sni, NetError::Kind::kConnect);
+    return failure("injected connection reset: ", NetError::Kind::kConnect);
   }
 
-  Bytes response = upstream_->connect(vantage, family, client_records);
+  ConnectResult answer = upstream_->connect(vantage, family, client_records);
+  if (!answer.ok()) return answer;
+  Bytes& response = answer.response;
 
   if (response.size() > 1 && rng.chance(spec_.truncate_rate)) {
     // Cut mid-stream: the client sees a partial flight, as a dropped
@@ -252,7 +262,7 @@ Bytes FaultInjector::connect(VantagePoint vantage, AddressFamily family,
     static obs::Counter& c = fault_counter("garble");
     tally(&Stats::garbled, c);
   }
-  return response;
+  return answer;
 }
 
 FaultInjector::Stats FaultInjector::stats() const {
@@ -262,7 +272,7 @@ FaultInjector::Stats FaultInjector::stats() const {
 
 void FaultInjector::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  attempts_.clear();
+  for (auto& routes : routes_) routes.clear();
   for (auto& n : vantage_connects_) n = 0;
   stats_ = Stats{};
 }

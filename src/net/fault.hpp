@@ -28,6 +28,7 @@
 #include "net/internet.hpp"
 #include "net/retry.hpp"
 #include "net/vantage.hpp"
+#include "util/rng.hpp"
 
 namespace iotls::net {
 
@@ -71,8 +72,10 @@ class FaultInjector final : public Internet {
 
   using Internet::connect;
 
-  Bytes connect(VantagePoint vantage, AddressFamily family,
-                BytesView client_records) const override;
+  /// Injected timeouts, resets and outages come back as NetError values,
+  /// like the upstream's own failures.
+  ConnectResult connect(VantagePoint vantage, AddressFamily family,
+                        BytesView client_records) const override;
 
   const FaultSpec& spec() const { return spec_; }
 
@@ -97,8 +100,16 @@ class FaultInjector final : public Internet {
   FaultSpec spec_;
   Clock* clock_;
 
+  /// One (SNI, vantage) decision source: its attempts so far and the
+  /// stream forked for it, from which each attempt forks its own.
+  struct Route {
+    std::uint64_t attempts = 0;
+    Rng stream;
+  };
+
   mutable std::mutex mu_;
-  mutable std::map<std::pair<std::string, VantagePoint>, std::uint64_t> attempts_;
+  /// Per vantage, by SNI; string_view lookups build no key.
+  mutable std::map<std::string, Route, std::less<>> routes_[kAllVantagePoints.size()];
   mutable std::uint64_t vantage_connects_[kAllVantagePoints.size()] = {};
   mutable Stats stats_;
 };

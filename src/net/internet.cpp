@@ -86,30 +86,35 @@ std::vector<const SimServer*> SimInternet::servers() const {
 }
 
 tls::ClientHello client_hello_of(BytesView client_records) {
-  std::optional<tls::ClientHello> hello = tls::first_client_hello(client_records);
-  if (!hello.has_value()) throw ParseError("client flight carries no ClientHello");
-  return std::move(*hello);
+  const tls::RecordStream records(client_records);
+  return tls::ClientHello::from(client_hello_view_of(records));
 }
 
-Bytes SimInternet::connect(VantagePoint vantage, AddressFamily family,
-                           BytesView client_records) const {
+tls::ClientHelloView client_hello_view_of(const tls::RecordStream& records) {
+  std::optional<tls::ClientHelloView> hello = tls::find_client_hello(records);
+  if (!hello.has_value()) throw ParseError("client flight carries no ClientHello");
+  return *hello;
+}
+
+ConnectResult SimInternet::connect(VantagePoint vantage, AddressFamily family,
+                                   BytesView client_records) const {
   tls::ClientHello hello = client_hello_of(client_records);
 
   auto sni = hello.sni();
   if (!sni.has_value()) {
-    throw NetError("ClientHello carries no SNI; cannot route",
-                   NetError::Kind::kProtocol);
+    return NetError("ClientHello carries no SNI; cannot route",
+                    NetError::Kind::kProtocol);
   }
   const SimServer* server = find(*sni);
   if (server == nullptr) {
-    throw NetError("no route to host: " + *sni, NetError::Kind::kNoRoute);
+    return NetError("no route to host: " + *sni, NetError::Kind::kNoRoute);
   }
   if (family == AddressFamily::kIPv6 && !server->dual_stack) {
     // Definitive, DNS-level: the name simply has no AAAA record.
-    throw NetError("no AAAA record: " + *sni, NetError::Kind::kNoRoute);
+    return NetError("no AAAA record: " + *sni, NetError::Kind::kNoRoute);
   }
   if (!server->reachable_from(vantage)) {
-    throw NetError("connection timed out: " + *sni, NetError::Kind::kTimeout);
+    return NetError("connection timed out: " + *sni, NetError::Kind::kTimeout);
   }
 
   // Version negotiation against the stack's window. The defaults

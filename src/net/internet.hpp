@@ -9,14 +9,31 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/server.hpp"
 #include "net/vantage.hpp"
 #include "tls/clienthello.hpp"
+#include "tls/record.hpp"
 #include "util/bytes.hpp"
+#include "util/error.hpp"
 
 namespace iotls::net {
+
+/// What one connect came back with: the server's record stream, or the
+/// connection-level failure that took its place. A refused or timed-out
+/// connect is an ordinary outcome of a survey (a third of a faulted
+/// battery's attempts), so it travels as a value, not as an exception.
+struct ConnectResult {
+  Bytes response;                 // the server's records; empty on failure
+  std::optional<NetError> error;  // set when the connection failed
+
+  ConnectResult(Bytes records) : response(std::move(records)) {}
+  ConnectResult(NetError failure) : error(std::move(failure)) {}
+
+  bool ok() const { return !error.has_value(); }
+};
 
 /// Anything a prober can open TLS connections through: the simulated
 /// internet itself, or a decorator layered over it (fault injection,
@@ -27,15 +44,16 @@ class Internet {
   virtual ~Internet() = default;
 
   /// Send a client record stream from `vantage` over `family`; returns the
-  /// server's record stream. Throws NetError for connection-level failures
-  /// (IPv6 to a v4-only server is kNoRoute: no AAAA record) and ParseError
-  /// for malformed client bytes.
-  virtual Bytes connect(VantagePoint vantage, AddressFamily family,
-                        BytesView client_records) const = 0;
+  /// server's record stream, or a NetError value for a connection-level
+  /// failure (IPv6 to a v4-only server is kNoRoute: no AAAA record).
+  /// Throws ParseError for malformed client bytes: those are the caller's
+  /// bug, not the network's answer.
+  virtual ConnectResult connect(VantagePoint vantage, AddressFamily family,
+                                BytesView client_records) const = 0;
 
   /// Compat entry point: the pre-dual-stack single-family connect. Every
   /// caller that does not say otherwise probes over IPv4.
-  Bytes connect(VantagePoint vantage, BytesView client_records) const {
+  ConnectResult connect(VantagePoint vantage, BytesView client_records) const {
     return connect(vantage, AddressFamily::kIPv4, client_records);
   }
 };
@@ -44,6 +62,9 @@ class Internet {
 /// Internet implementation needs). Throws ParseError when the stream is
 /// malformed or carries no ClientHello.
 tls::ClientHello client_hello_of(BytesView client_records);
+
+/// client_hello_of() read in place, as a view into `records`.
+tls::ClientHelloView client_hello_view_of(const tls::RecordStream& records);
 
 class SimInternet final : public Internet {
  public:
@@ -69,10 +90,10 @@ class SimInternet final : public Internet {
   ///     stacks) and a ciphersuite from the family's preference list;
   ///  4. answer with records carrying ServerHello ‖ Certificate ‖ Done,
   ///     echoing ALPN / session_ticket when the stack negotiates them.
-  /// Throws NetError for unreachable hosts / unknown SNI,
-  /// and ParseError for malformed client bytes.
-  Bytes connect(VantagePoint vantage, AddressFamily family,
-                BytesView client_records) const override;
+  /// Returns a NetError for unreachable hosts / unknown SNI / a hello
+  /// without SNI; throws ParseError for malformed client bytes.
+  ConnectResult connect(VantagePoint vantage, AddressFamily family,
+                        BytesView client_records) const override;
 
  private:
   std::map<std::string, SimServer> servers_;

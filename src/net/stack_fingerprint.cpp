@@ -133,9 +133,18 @@ void StackSurveySummary::merge(const StackSurveySummary& other) {
 StackFingerprinter::StackFingerprinter(const Internet& internet)
     : ProbeEngine(internet, "net.fingerprint") {}
 
+StackFingerprinter::SniBattery StackFingerprinter::prepare(
+    const std::string& sni) const {
+  SniBattery shared;
+  shared.flights.reserve(battery_.size());
+  for (const ProbeSpec& spec : battery_) shared.flights.push_back(spec.flight(sni));
+  return shared;
+}
+
 StackFingerprint StackFingerprinter::run_battery(
     const std::string& sni, VantagePoint vantage, AddressFamily family,
-    CircuitBreaker* breaker, StackSurveySummary* summary) const {
+    SniBattery& shared, CircuitBreaker* breaker,
+    StackSurveySummary* summary) const {
   static obs::Counter& probes = obs::metrics().counter("net.fingerprint.probes");
   // Breaker key per (SNI, family): "no AAAA" on a v4-only server must not
   // quarantine the v4 battery (and vice versa).
@@ -147,8 +156,8 @@ StackFingerprint StackFingerprinter::run_battery(
   fp.observations.reserve(battery_.size());
 
   std::string joined;
-  for (const ProbeSpec& spec : battery_) {
-    Bytes flight = spec.flight(sni);
+  for (std::size_t k = 0; k < battery_.size(); ++k) {
+    const Bytes& flight = shared.flights[k];
     ServerFlight parsed;
     Exchange ex = exchange(
         sni, vantage, family, BytesView(flight.data(), flight.size()), breaker,
@@ -168,7 +177,12 @@ StackFingerprint StackFingerprinter::run_battery(
                                 ? canonicalize(parsed)
                                 : "x|" + probe_error_name(ex.error);
     if (fp.leaf_fp.empty() && parsed.error.empty() && !parsed.chain.empty()) {
-      fp.leaf_fp = parsed.chain.front().fingerprint();
+      x509::Certificate& leaf = parsed.chain.front();
+      if (shared.leaf != leaf) {
+        shared.leaf_fp = leaf.fingerprint();
+        shared.leaf = std::move(leaf);
+      }
+      fp.leaf_fp = shared.leaf_fp;
     }
     const bool answered = canonical.rfind("x|", 0) != 0;
     fp.answered = fp.answered || answered;
@@ -187,7 +201,7 @@ StackFingerprint StackFingerprinter::run_battery(
 
     if (!joined.empty()) joined += ',';
     joined += canonical;
-    fp.observations.push_back({spec.name, std::move(canonical), ex.attempts});
+    fp.observations.push_back({battery_[k].name, std::move(canonical), ex.attempts});
   }
 
   fp.digest = crypto::sha256_hex(
@@ -200,7 +214,8 @@ StackFingerprint StackFingerprinter::run_battery(
 StackFingerprint StackFingerprinter::fingerprint(const std::string& sni,
                                                  VantagePoint vantage,
                                                  AddressFamily family) const {
-  return run_battery(sni, vantage, family, nullptr, nullptr);
+  SniBattery shared = prepare(sni);
+  return run_battery(sni, vantage, family, shared, nullptr, nullptr);
 }
 
 ServerStackResult StackFingerprinter::fingerprint_server(
@@ -219,9 +234,10 @@ ServerStackResult StackFingerprinter::survey_one(
   // this fixed order is what makes a dual-stack survey replayable.
   ServerStackResult out;
   out.sni = sni;
+  SniBattery shared = prepare(sni);
   for (AddressFamily family : families_) {
     for (VantagePoint v : kAllVantagePoints) {
-      out.fingerprints[v][family] = run_battery(sni, v, family, &breaker,
+      out.fingerprints[v][family] = run_battery(sni, v, family, shared, &breaker,
                                                 &summary);
     }
   }

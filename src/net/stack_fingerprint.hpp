@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,8 +127,18 @@ class StackFingerprinter : private ProbeEngine {
   StackSurvey survey(const std::vector<std::string>& snis) const;
 
  private:
+  /// What the battery runs of one SNI share: its flights, built once, and
+  /// the last leaf fingerprinted, reused while the same leaf comes back.
+  struct SniBattery {
+    std::vector<Bytes> flights;  // battery order
+    std::optional<x509::Certificate> leaf;
+    std::string leaf_fp;
+  };
+  SniBattery prepare(const std::string& sni) const;
+
   StackFingerprint run_battery(const std::string& sni, VantagePoint vantage,
-                               AddressFamily family, CircuitBreaker* breaker,
+                               AddressFamily family, SniBattery& shared,
+                               CircuitBreaker* breaker,
                                StackSurveySummary* summary) const;
   ServerStackResult survey_one(const std::string& sni, CircuitBreaker& breaker,
                                StackSurveySummary& summary) const;

@@ -249,28 +249,31 @@ obs::Json report_stacks(StreamIngest& ingest) {
     for (std::size_t i = 0; i < cluster->servers.size() && i < 5; ++i) {
       fqdns.emplace_back(cluster->servers[i]);
     }
-    rows.emplace_back(obs::Json::Object{
-        {"digest", digest},
-        {"servers", static_cast<std::int64_t>(cluster->servers.size())},
-        {"example_fqdns", obs::Json(std::move(fqdns))},
-        {"vendors", set_json(cluster->vendors)},
-        {"cross_vendor", cross_vendor},
-    });
+    // Members are moved in: an Object{{...}} initializer list would copy
+    // each nested array once more.
+    obs::Json::Object row;
+    row.reserve(5);
+    row.emplace_back("digest", digest);
+    row.emplace_back("servers", static_cast<std::int64_t>(cluster->servers.size()));
+    row.emplace_back("example_fqdns", std::move(fqdns));
+    row.emplace_back("vendors", set_json(cluster->vendors));
+    row.emplace_back("cross_vendor", cross_vendor);
+    rows.emplace_back(std::move(row));
   }
 
-  return obs::Json(obs::Json::Object{
-      {"report", "stacks"},
-      {"battery",
-       static_cast<std::int64_t>(
-           net::StackFingerprinter::standard_battery().size())},
-      {"servers_fingerprinted", static_cast<std::int64_t>(fingerprinted)},
-      {"unanswered", static_cast<std::int64_t>(unanswered)},
-      {"distinct_stacks", static_cast<std::int64_t>(clusters.size())},
-      {"clustered_servers", static_cast<std::int64_t>(clustered_servers)},
-      {"cross_vendor_clusters",
-       static_cast<std::int64_t>(cross_vendor_clusters)},
-      {"rows", std::move(rows)},
-  });
+  obs::Json::Object out;
+  out.reserve(8);
+  out.emplace_back("report", "stacks");
+  out.emplace_back("battery", static_cast<std::int64_t>(
+                                  net::StackFingerprinter::standard_battery().size()));
+  out.emplace_back("servers_fingerprinted", static_cast<std::int64_t>(fingerprinted));
+  out.emplace_back("unanswered", static_cast<std::int64_t>(unanswered));
+  out.emplace_back("distinct_stacks", static_cast<std::int64_t>(clusters.size()));
+  out.emplace_back("clustered_servers", static_cast<std::int64_t>(clustered_servers));
+  out.emplace_back("cross_vendor_clusters",
+                   static_cast<std::int64_t>(cross_vendor_clusters));
+  out.emplace_back("rows", std::move(rows));
+  return obs::Json(std::move(out));
 }
 
 obs::Json report_dualstack(StreamIngest& ingest) {
@@ -312,26 +315,28 @@ obs::Json report_dualstack(StreamIngest& ingest) {
     if (cert_div) ++cert_divergent;
     std::set<std::string> vendors;
     add_vendors(ix, result.sni, vendors);
-    rows.emplace_back(obs::Json::Object{
-        {"sni", result.sni},
-        {"stack_divergent", stack_div},
-        {"cert_divergent", cert_div},
-        {"v4_digest", v4->digest},
-        {"v6_digest", v6->digest},
-        {"vendors", set_json(vendors)},
-    });
+    obs::Json::Object row;
+    row.reserve(6);
+    row.emplace_back("sni", result.sni);
+    row.emplace_back("stack_divergent", stack_div);
+    row.emplace_back("cert_divergent", cert_div);
+    row.emplace_back("v4_digest", v4->digest);
+    row.emplace_back("v6_digest", v6->digest);
+    row.emplace_back("vendors", set_json(vendors));
+    rows.emplace_back(std::move(row));
   }
 
-  return obs::Json(obs::Json::Object{
-      {"report", "dualstack"},
-      {"snis", static_cast<std::int64_t>(snis)},
-      {"v4_unanswered", static_cast<std::int64_t>(v4_unanswered)},
-      {"v6_absent", static_cast<std::int64_t>(v6_absent)},
-      {"consistent", static_cast<std::int64_t>(consistent)},
-      {"stack_divergent", static_cast<std::int64_t>(stack_divergent)},
-      {"cert_divergent", static_cast<std::int64_t>(cert_divergent)},
-      {"rows", std::move(rows)},
-  });
+  obs::Json::Object out;
+  out.reserve(8);
+  out.emplace_back("report", "dualstack");
+  out.emplace_back("snis", static_cast<std::int64_t>(snis));
+  out.emplace_back("v4_unanswered", static_cast<std::int64_t>(v4_unanswered));
+  out.emplace_back("v6_absent", static_cast<std::int64_t>(v6_absent));
+  out.emplace_back("consistent", static_cast<std::int64_t>(consistent));
+  out.emplace_back("stack_divergent", static_cast<std::int64_t>(stack_divergent));
+  out.emplace_back("cert_divergent", static_cast<std::int64_t>(cert_divergent));
+  out.emplace_back("rows", std::move(rows));
+  return obs::Json(std::move(out));
 }
 
 struct Report {

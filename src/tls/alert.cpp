@@ -35,21 +35,20 @@ Alert Alert::parse(BytesView payload) {
 }
 
 std::optional<Alert> find_alert(BytesView record_stream) {
-  std::vector<Record> records;
   try {
-    records = parse_records(record_stream);
+    return find_alert(RecordStream(record_stream));
   } catch (const ParseError&) {
     return std::nullopt;
   }
-  for (const Record& record : records) {
-    if (record.type != ContentType::kAlert) continue;
-    try {
-      return Alert::parse(BytesView(record.payload.data(), record.payload.size()));
-    } catch (const ParseError&) {
-      return std::nullopt;
-    }
+}
+
+std::optional<Alert> find_alert(const RecordStream& records) {
+  if (!records.first_alert().has_value()) return std::nullopt;
+  try {
+    return Alert::parse(*records.first_alert());
+  } catch (const ParseError&) {
+    return std::nullopt;
   }
-  return std::nullopt;
 }
 
 }  // namespace iotls::tls

@@ -40,7 +40,12 @@ struct Alert {
   friend bool operator==(const Alert&, const Alert&) = default;
 };
 
-/// Extract the first alert from a record stream, if any.
+class RecordStream;
+
+/// Extract the first alert from a record stream, if any: nullopt too when
+/// the records or that first alert are malformed.
 std::optional<Alert> find_alert(BytesView record_stream);
+/// find_alert() over records already walked.
+std::optional<Alert> find_alert(const RecordStream& records);
 
 }  // namespace iotls::tls

@@ -25,38 +25,100 @@ void encode_extensions(Writer& w, const std::vector<Extension>& exts) {
   w.end_length(block);
 }
 
-std::vector<Extension> parse_extensions(Reader& r) {
-  std::vector<Extension> out;
-  if (r.empty()) return out;  // legacy no-extensions form
+/// The extension entries of a hello body positioned after its
+/// compression methods; empty in the legacy no-extensions form. Checks
+/// every entry's framing.
+BytesView read_extensions(Reader& r) {
+  if (r.empty()) return {};
   std::uint16_t block_len = r.u16();
-  Reader block(r.view(block_len));
+  BytesView entries = r.view(block_len);
+  Reader block(entries);
   while (!block.empty()) {
-    Extension e;
-    e.type = block.u16();
-    std::uint16_t len = block.u16();
-    e.data = block.bytes(len);
-    out.push_back(std::move(e));
+    block.u16();
+    block.skip(block.u16());
   }
-  return out;
+  return entries;
+}
+
+enum class HostName { kFound, kAbsent, kMalformed };
+
+/// The host_name entry of one server_name payload (RFC 6066 §3: uint16
+/// list length, then name_type ‖ uint16 length ‖ name entries). Bytes past
+/// the list are ignored; an entry that overruns it makes the payload
+/// malformed.
+HostName read_host_name(BytesView data, std::string_view* out) {
+  if (data.size() < 2) return HostName::kMalformed;
+  const std::size_t list_len = static_cast<std::size_t>(data[0] << 8 | data[1]);
+  if (data.size() - 2 < list_len) return HostName::kMalformed;
+  const BytesView list = data.subspan(2, list_len);
+  std::size_t pos = 0;
+  while (pos < list.size()) {
+    if (list.size() - pos < 3) return HostName::kMalformed;
+    const std::uint8_t name_type = list[pos];
+    const std::size_t name_len =
+        static_cast<std::size_t>(list[pos + 1] << 8 | list[pos + 2]);
+    pos += 3;
+    if (list.size() - pos < name_len) return HostName::kMalformed;
+    if (name_type == 0) {  // host_name
+      *out = std::string_view(reinterpret_cast<const char*>(list.data() + pos), name_len);
+      return HostName::kFound;
+    }
+    pos += name_len;
+  }
+  return HostName::kAbsent;
 }
 
 }  // namespace
 
+ClientHelloView ClientHelloView::parse(BytesView handshake_message) {
+  Reader outer(handshake_message);
+  auto type = static_cast<HandshakeType>(outer.u8());
+  if (type != HandshakeType::kClientHello)
+    throw ParseError("not a ClientHello handshake message");
+  std::uint32_t body_len = outer.u24();
+  Reader r(outer.view(body_len));
+  outer.expect_end("ClientHello");
+
+  ClientHelloView ch;
+  ch.legacy_version = r.u16();
+  ch.random = r.view(32);
+  std::uint8_t sid_len = r.u8();
+  if (sid_len > 32) throw ParseError("session_id length > 32");
+  ch.session_id = r.view(sid_len);
+  std::uint16_t cs_len = r.u16();
+  if (cs_len % 2 != 0) throw ParseError("odd cipher_suites length");
+  ch.cipher_suites = r.view(cs_len);
+  std::uint8_t comp_len = r.u8();
+  if (comp_len == 0) throw ParseError("empty compression_methods");
+  ch.compression_methods = r.view(comp_len);
+  ch.extensions = read_extensions(r);
+  r.expect_end("ClientHello body");
+  return ch;
+}
+
+std::optional<std::string_view> ClientHelloView::sni() const {
+  std::optional<std::string_view> out;
+  for_each_extension([&out](std::uint16_t type, BytesView data) {
+    if (type != 0) return true;  // server_name
+    std::string_view name;
+    switch (read_host_name(data, &name)) {
+      case HostName::kFound: out = name; return false;
+      case HostName::kMalformed: return false;  // malformed: treat as absent
+      case HostName::kAbsent: return true;
+    }
+    return true;
+  });
+  return out;
+}
+
 std::optional<std::string> ClientHello::sni() const {
   for (const Extension& e : extensions) {
     if (e.type != 0) continue;  // server_name
-    try {
-      Reader r(BytesView(e.data.data(), e.data.size()));
-      std::uint16_t list_len = r.u16();
-      Reader list(r.view(list_len));
-      while (!list.empty()) {
-        std::uint8_t name_type = list.u8();
-        std::uint16_t name_len = list.u16();
-        std::string name = list.str(name_len);
-        if (name_type == 0) return name;  // host_name
-      }
-    } catch (const ParseError&) {
-      return std::nullopt;  // malformed SNI payload: treat as absent
+    std::string_view name;
+    switch (read_host_name(BytesView(e.data.data(), e.data.size()), &name)) {
+      case HostName::kFound: return std::string(name);
+      case HostName::kMalformed: return std::nullopt;  // treat as absent
+      case HostName::kAbsent: break;
     }
   }
   return std::nullopt;
@@ -132,31 +194,25 @@ Bytes ClientHello::encode() const {
 }
 
 ClientHello ClientHello::parse(BytesView handshake_message) {
-  Reader outer(handshake_message);
-  auto type = static_cast<HandshakeType>(outer.u8());
-  if (type != HandshakeType::kClientHello)
-    throw ParseError("not a ClientHello handshake message");
-  std::uint32_t body_len = outer.u24();
-  Reader r(outer.view(body_len));
-  outer.expect_end("ClientHello");
+  return from(ClientHelloView::parse(handshake_message));
+}
 
+ClientHello ClientHello::from(const ClientHelloView& view) {
   ClientHello ch;
-  ch.legacy_version = r.u16();
-  BytesView rnd = r.view(32);
-  std::copy(rnd.begin(), rnd.end(), ch.random.begin());
-  std::uint8_t sid_len = r.u8();
-  if (sid_len > 32) throw ParseError("session_id length > 32");
-  ch.session_id = r.bytes(sid_len);
-  std::uint16_t cs_len = r.u16();
-  if (cs_len % 2 != 0) throw ParseError("odd cipher_suites length");
-  Reader cs(r.view(cs_len));
-  ch.cipher_suites.clear();
-  while (!cs.empty()) ch.cipher_suites.push_back(cs.u16());
-  std::uint8_t comp_len = r.u8();
-  if (comp_len == 0) throw ParseError("empty compression_methods");
-  ch.compression_methods = r.bytes(comp_len);
-  ch.extensions = parse_extensions(r);
-  r.expect_end("ClientHello body");
+  ch.legacy_version = view.legacy_version;
+  std::copy(view.random.begin(), view.random.end(), ch.random.begin());
+  ch.session_id.assign(view.session_id.begin(), view.session_id.end());
+  ch.cipher_suites.reserve(view.cipher_suites.size() / 2);
+  for (std::size_t i = 0; i < view.cipher_suites.size(); i += 2) {
+    ch.cipher_suites.push_back(
+        static_cast<std::uint16_t>(view.cipher_suites[i] << 8 | view.cipher_suites[i + 1]));
+  }
+  ch.compression_methods.assign(view.compression_methods.begin(),
+                                view.compression_methods.end());
+  view.for_each_extension([&ch](std::uint16_t type, BytesView data) {
+    ch.extensions.push_back({type, Bytes(data.begin(), data.end())});
+    return true;
+  });
   return ch;
 }
 
@@ -168,37 +224,45 @@ Bytes encode_handshake(HandshakeType type, BytesView body) {
   return w.take();
 }
 
+HandshakeView read_handshake(Reader& r) {
+  auto type = static_cast<HandshakeType>(r.u8());
+  std::uint32_t len = r.u24();
+  BytesView body = r.view(len);
+  // The 4 header bytes just read precede the body in the same buffer.
+  return {type, BytesView(body.data() - 4, body.size() + 4)};
+}
+
 std::vector<HandshakeMessage> split_handshakes(BytesView stream) {
   std::vector<HandshakeMessage> out;
   Reader r(stream);
   while (!r.empty()) {
-    HandshakeMessage m;
-    m.type = static_cast<HandshakeType>(r.u8());
-    std::uint32_t len = r.u24();
-    m.body = r.bytes(len);
-    out.push_back(std::move(m));
+    HandshakeView m = read_handshake(r);
+    out.push_back({m.type, Bytes(m.body().begin(), m.body().end())});
   }
   return out;
 }
 
 std::optional<ClientHello> first_client_hello(BytesView record_stream) {
-  Bytes payload = handshake_payload(parse_records(record_stream));
-  BytesView stream(payload.data(), payload.size());
+  const RecordStream records(record_stream);
+  std::optional<ClientHelloView> hello = find_client_hello(records);
+  if (!hello.has_value()) return std::nullopt;
+  return ClientHello::from(*hello);
+}
+
+std::optional<ClientHelloView> find_client_hello(const RecordStream& records) {
   // Walk the framing exactly as split_handshakes() does (a truncated message
   // after the hello is still a parse error), but parse the hello in place:
-  // its framed bytes are the payload slice, so no body copy or re-encode.
+  // its framed bytes are a slice of the handshake stream.
   std::optional<BytesView> framed;
-  Reader r(stream);
+  Reader r(records.handshakes());
   while (!r.empty()) {
-    std::size_t start = r.position();
-    auto type = static_cast<HandshakeType>(r.u8());
-    r.skip(r.u24());
-    if (type == HandshakeType::kClientHello && !framed.has_value()) {
-      framed = stream.subspan(start, r.position() - start);
+    HandshakeView m = read_handshake(r);
+    if (m.type == HandshakeType::kClientHello && !framed.has_value()) {
+      framed = m.framed;
     }
   }
   if (!framed.has_value()) return std::nullopt;
-  return ClientHello::parse(*framed);
+  return ClientHelloView::parse(*framed);
 }
 
 }  // namespace iotls::tls

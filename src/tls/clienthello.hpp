@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/reader.hpp"
 
 namespace iotls::tls {
 
@@ -26,6 +28,36 @@ enum class HandshakeType : std::uint8_t {
   kCertificate = 11,
   kServerHelloDone = 14,
   kCertificateStatus = 22,  // stapled OCSP response (RFC 6066)
+};
+
+/// A ClientHello read in place: ClientHello::parse's checks and errors,
+/// without copying a field. Every view points into the parsed bytes.
+struct ClientHelloView {
+  std::uint16_t legacy_version = 0;
+  BytesView random;               // 32 bytes
+  BytesView session_id;
+  BytesView cipher_suites;        // big-endian uint16 codes
+  BytesView compression_methods;
+  BytesView extensions;           // the entries: (type ‖ uint16 len ‖ data)*
+
+  /// Throws ParseError unless `handshake_message` is a well-formed
+  /// ClientHello occupying the entire buffer.
+  static ClientHelloView parse(BytesView handshake_message);
+
+  /// Call fn(type, data) for each extension in wire order while it
+  /// returns true.
+  template <typename Fn>
+  void for_each_extension(Fn&& fn) const {
+    Reader r(extensions);  // validated by parse(): no read below can throw
+    while (!r.empty()) {
+      const std::uint16_t type = r.u16();
+      const std::uint16_t len = r.u16();
+      if (!fn(type, r.view(len))) return;
+    }
+  }
+
+  /// ClientHello::sni(), as a view into the hello.
+  std::optional<std::string_view> sni() const;
 };
 
 /// A parsed/buildable ClientHello. The paper's fingerprints are derived from
@@ -58,6 +90,9 @@ struct ClientHello {
   /// ClientHello occupying the entire buffer.
   static ClientHello parse(BytesView handshake_message);
 
+  /// Copy a hello read in place into its own buffers.
+  static ClientHello from(const ClientHelloView& view);
+
   friend bool operator==(const ClientHello&, const ClientHello&) = default;
 };
 
@@ -71,11 +106,29 @@ struct HandshakeMessage {
 };
 std::vector<HandshakeMessage> split_handshakes(BytesView stream);
 
+/// One handshake message read in place.
+struct HandshakeView {
+  HandshakeType type;
+  BytesView framed;  // type ‖ uint24 length ‖ body
+
+  BytesView body() const { return framed.subspan(4); }
+};
+
+/// Read the next handshake message from `r`, with split_handshakes' checks
+/// and errors.
+HandshakeView read_handshake(Reader& r);
+
 /// The first ClientHello carried by a TLS record stream (a client flight or
 /// a captured event's wire bytes), or nullopt when the handshake messages
 /// decode but none is a ClientHello. Throws ParseError when the records,
 /// the handshake framing or the hello itself are malformed, so callers can
 /// tell "no hello" from "not TLS".
 std::optional<ClientHello> first_client_hello(BytesView record_stream);
+
+class RecordStream;
+
+/// first_client_hello() read in place: the same checks, errors and result,
+/// as a view into `records` (which must outlive it).
+std::optional<ClientHelloView> find_client_hello(const RecordStream& records);
 
 }  // namespace iotls::tls

@@ -20,21 +20,58 @@ Bytes encode_records(ContentType type, std::uint16_t version, BytesView payload)
   return w.take();
 }
 
+namespace {
+
+/// One record read in place: its header and a view of its payload.
+struct RecordView {
+  ContentType type = ContentType::kHandshake;
+  std::uint16_t version = 0x0303;
+  BytesView payload;
+};
+
+/// Read the next record from `r`, with parse_records' checks and errors.
+RecordView read_record(Reader& r) {
+  RecordView rec;
+  std::uint8_t type = r.u8();
+  if (type < 20 || type > 23) throw ParseError("unknown TLS record content type");
+  rec.type = static_cast<ContentType>(type);
+  rec.version = r.u16();
+  std::uint16_t len = r.u16();
+  if (len > kMaxFragment) throw ParseError("TLS record fragment exceeds 2^14");
+  rec.payload = r.view(len);
+  return rec;
+}
+
+}  // namespace
+
 std::vector<Record> parse_records(BytesView stream) {
   std::vector<Record> out;
   Reader r(stream);
   while (!r.empty()) {
-    Record rec;
-    std::uint8_t type = r.u8();
-    if (type < 20 || type > 23) throw ParseError("unknown TLS record content type");
-    rec.type = static_cast<ContentType>(type);
-    rec.version = r.u16();
-    std::uint16_t len = r.u16();
-    if (len > kMaxFragment) throw ParseError("TLS record fragment exceeds 2^14");
-    rec.payload = r.bytes(len);
-    out.push_back(std::move(rec));
+    RecordView rec = read_record(r);
+    out.push_back({rec.type, rec.version, Bytes(rec.payload.begin(), rec.payload.end())});
   }
   return out;
+}
+
+RecordStream::RecordStream(BytesView stream) {
+  bool seen_handshake = false;
+  Reader r(stream);
+  while (!r.empty()) {
+    RecordView rec = read_record(r);
+    if (rec.type == ContentType::kAlert && !first_alert_.has_value()) {
+      first_alert_ = rec.payload;
+    }
+    if (rec.type != ContentType::kHandshake) continue;
+    if (!seen_handshake) {
+      first_handshake_ = rec.payload;
+      seen_handshake = true;
+      continue;
+    }
+    // A second handshake record: the stream is fragmented, so join it.
+    if (joined_.empty()) joined_.assign(first_handshake_.begin(), first_handshake_.end());
+    joined_.insert(joined_.end(), rec.payload.begin(), rec.payload.end());
+  }
 }
 
 Bytes handshake_payload(const std::vector<Record>& records) {

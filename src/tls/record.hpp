@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -38,5 +39,28 @@ std::vector<Record> parse_records(BytesView stream);
 /// Concatenate the payloads of all handshake-type records in order —
 /// the defragmented handshake stream feeding split_handshakes().
 Bytes handshake_payload(const std::vector<Record>& records);
+
+/// A record stream validated once and read in place: parse_records'
+/// checks and errors, without copying a payload. Views point into the
+/// stream, which must outlive this object, except that handshake bytes
+/// spread over several records are joined into storage of its own.
+class RecordStream {
+ public:
+  /// Walk every record of `stream`; throws ParseError as parse_records does.
+  explicit RecordStream(BytesView stream);
+
+  /// handshake_payload(parse_records(stream)), as a view.
+  BytesView handshakes() const {
+    return joined_.empty() ? first_handshake_ : BytesView(joined_.data(), joined_.size());
+  }
+
+  /// Payload of the first alert record; nullopt when there is none.
+  const std::optional<BytesView>& first_alert() const { return first_alert_; }
+
+ private:
+  BytesView first_handshake_;  // the first handshake record's payload
+  Bytes joined_;               // every handshake payload, once a second one came
+  std::optional<BytesView> first_alert_;
+};
 
 }  // namespace iotls::tls

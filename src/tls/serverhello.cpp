@@ -76,6 +76,15 @@ Bytes CertificateMsg::encode() const {
 }
 
 CertificateMsg CertificateMsg::parse(BytesView handshake_message) {
+  CertificateMsg msg;
+  CertificateMsgView::parse(handshake_message).for_each([&msg](BytesView cert) {
+    msg.chain.emplace_back(cert.begin(), cert.end());
+    return true;
+  });
+  return msg;
+}
+
+CertificateMsgView CertificateMsgView::parse(BytesView handshake_message) {
   Reader outer(handshake_message);
   auto type = static_cast<HandshakeType>(outer.u8());
   if (type != HandshakeType::kCertificate)
@@ -84,14 +93,12 @@ CertificateMsg CertificateMsg::parse(BytesView handshake_message) {
   Reader r(outer.view(body_len));
   outer.expect_end("Certificate");
 
-  CertificateMsg msg;
+  CertificateMsgView msg;
   std::uint32_t list_len = r.u24();
-  Reader list(r.view(list_len));
+  msg.entries = r.view(list_len);
   r.expect_end("Certificate body");
-  while (!list.empty()) {
-    std::uint32_t entry_len = list.u24();
-    msg.chain.push_back(list.bytes(entry_len));
-  }
+  Reader list(msg.entries);
+  while (!list.empty()) list.skip(list.u24());
   return msg;
 }
 

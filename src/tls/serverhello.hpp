@@ -7,6 +7,7 @@
 
 #include "tls/clienthello.hpp"
 #include "util/bytes.hpp"
+#include "util/reader.hpp"
 
 namespace iotls::tls {
 
@@ -35,6 +36,24 @@ struct CertificateMsg {
   static CertificateMsg parse(BytesView handshake_message);
 
   friend bool operator==(const CertificateMsg&, const CertificateMsg&) = default;
+};
+
+/// A Certificate message read in place: CertificateMsg::parse's checks and
+/// errors, the entries left as views into the message.
+struct CertificateMsgView {
+  BytesView entries;  // (uint24 length ‖ certificate)*
+
+  static CertificateMsgView parse(BytesView handshake_message);
+
+  /// Call fn(encoded certificate) for each entry, leaf first, while it
+  /// returns true.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    Reader r(entries);  // validated by parse(): no read below can throw
+    while (!r.empty()) {
+      if (!fn(r.view(r.u24()))) return;
+    }
+  }
 };
 
 }  // namespace iotls::tls

@@ -1,5 +1,6 @@
 // The tools' shared argument handling: the one bounded integer parser
-// behind `--jobs=`, `--retries=`, `--breaker=` and `--users=`, and
+// behind `--jobs=`, `--retries=`, `--breaker=`, `--users=` and
+// `--battery=`, `iotls_probe`'s unsigned 64-bit flags, and
 // `iotls_audit --report=NAME` rejecting an unknown name before it reads any
 // input.
 #include <sys/wait.h>
@@ -124,6 +125,45 @@ TEST(ToolCli, WrappingIntegerFlagsExitTwoBeforeAnyWork) {
       EXPECT_NE(out.find(std::string(c.flag) + " wants an integer"), std::string::npos)
           << c.command << ": " << out;
     }
+  }
+}
+
+TEST(ProbeCli, BatterySizeOutsideTheBatteryIsAnAttributedError) {
+  // K must name a prefix of the 10-probe battery: 0 and 11 used to be
+  // rejected and silently clamped, and -1 wrapped to 2^64-1 (all probes).
+  const std::string probe = std::string(IOTLS_TOOLS_DIR) + "/iotls_probe";
+  for (const char* value : {"0", "11", "-1", "+3", "18446744073709551617", "3x", ""}) {
+    std::string out;
+    const std::string command = probe + " --battery=" + value + " a2.tuyaus.com";
+    EXPECT_EQ(run(command, &out), 2) << command << ": " << out;
+    EXPECT_NE(out.find("--battery= wants an integer"), std::string::npos)
+        << command << ": " << out;
+  }
+  for (const char* value : {"1", "10"}) {
+    std::string out;
+    const std::string command = probe + " --battery=" + value + " a2.tuyaus.com";
+    EXPECT_EQ(run(command, &out), 0) << command << ": " << out;
+    EXPECT_NE(out.find("battery: " + std::string(value) + " probes"), std::string::npos)
+        << command << ": " << out;
+  }
+}
+
+TEST(ProbeCli, SignedU64FlagsAreRejectedNotWrapped) {
+  const std::string probe = std::string(IOTLS_TOOLS_DIR) + "/iotls_probe";
+  for (const char* flag : {"--backoff-ms=", "--retry-budget="}) {
+    for (const char* value : {"-1", "-0", "+5", " 5", "18446744073709551616"}) {
+      std::string out;
+      const std::string command =
+          probe + " '" + flag + value + "' a2.tuyaus.com";
+      EXPECT_EQ(run(command, &out), 2) << command << ": " << out;
+      EXPECT_NE(out.find(std::string(flag) + " wants a non-negative integer"),
+                std::string::npos)
+          << command << ": " << out;
+    }
+    std::string out;
+    const std::string command =
+        probe + " " + flag + "18446744073709551615 --battery=1 a2.tuyaus.com";
+    EXPECT_EQ(run(command, &out), 0) << command << ": " << out;
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the probe engine both active surveys share: the exchange's
-// retry rule, the server-flight parser, and the per-engine handshake
-// histogram that attributes survey time to the (simulated) network.
+// retry rule, connect failures arriving as values, the server-flight
+// parser, and the per-engine handshake histogram that attributes survey
+// time to the (simulated) network.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +14,7 @@
 #include "net/stack_fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "tls/record.hpp"
+#include "util/error.hpp"
 #include "x509/authority.hpp"
 
 namespace iotls::net {
@@ -117,6 +119,126 @@ TEST(ProbeEngine, BatteryProbeWithoutSniMakesOneAttempt) {
   EXPECT_EQ(survey.summary.retries, 0u);
 }
 
+// ------------------------------------------------------ failures as values
+
+TEST(ProbeEngine, EveryFailureKindArrivesAsAValue) {
+  auto ca = test_ca();
+  SimInternet internet;
+  internet.add_server(make_server("api.example.com", ca));  // v4 only
+  SimServer dark = make_server("dark.example.com", ca);
+  dark.reachable = false;
+  internet.add_server(dark);
+  const FaultInjector timeouts(internet, FaultSpec::parse("seed=3,timeout=1"));
+  const FaultInjector resets(internet, FaultSpec::parse("seed=3,reset=1"));
+  const FaultInjector outage(internet, FaultSpec::parse("seed=3,outage=newyork:0:100"));
+
+  struct Case {
+    const Internet* network;
+    std::string sni;
+    AddressFamily family;
+    std::vector<std::uint16_t> extensions;
+    NetError::Kind kind;
+    std::string message;
+    ProbeError error;
+  };
+  const std::vector<std::uint16_t> with_sni = {0, 10, 11, 13};
+  const Case cases[] = {
+      {&internet, "nowhere.example.com", AddressFamily::kIPv4, with_sni,
+       NetError::Kind::kNoRoute, "no route to host: nowhere.example.com", ProbeError::kDns},
+      {&internet, "api.example.com", AddressFamily::kIPv6, with_sni,
+       NetError::Kind::kNoRoute, "no AAAA record: api.example.com", ProbeError::kDns},
+      {&internet, "dark.example.com", AddressFamily::kIPv4, with_sni,
+       NetError::Kind::kTimeout, "connection timed out: dark.example.com",
+       ProbeError::kTimeout},
+      {&internet, "api.example.com", AddressFamily::kIPv4, {10, 11, 13},
+       NetError::Kind::kProtocol, "ClientHello carries no SNI; cannot route",
+       ProbeError::kConnect},
+      {&timeouts, "api.example.com", AddressFamily::kIPv4, with_sni,
+       NetError::Kind::kTimeout, "injected timeout: api.example.com", ProbeError::kTimeout},
+      {&resets, "api.example.com", AddressFamily::kIPv4, with_sni,
+       NetError::Kind::kConnect, "injected connection reset: api.example.com",
+       ProbeError::kConnect},
+      {&outage, "api.example.com", AddressFamily::kIPv4, with_sni,
+       NetError::Kind::kTimeout, "injected outage at New York: api.example.com",
+       ProbeError::kTimeout},
+  };
+  obs::Histogram& handshake_ns = obs::metrics().histogram("test.engine.handshake_ns");
+  obs::Counter& attempts = obs::metrics().counter("test.engine.attempts");
+  for (const Case& c : cases) {
+    const Bytes flight = hello_spec(c.extensions).flight(c.sni);
+    const BytesView records(flight.data(), flight.size());
+    const ConnectResult answer = c.network->connect(VantagePoint::kNewYork, c.family, records);
+    ASSERT_FALSE(answer.ok()) << c.message;
+    EXPECT_EQ(answer.error->kind(), c.kind) << c.message;
+    EXPECT_EQ(std::string(answer.error->what()), c.message);
+    EXPECT_TRUE(answer.response.empty()) << c.message;
+
+    // The engine classifies the value: category and detail as before.
+    const std::uint64_t count_before = handshake_ns.count();
+    const std::uint64_t attempts_before = attempts.value();
+    TestEngine engine(*c.network);
+    const Exchange ex = engine.exchange(c.sni, VantagePoint::kNewYork, c.family, records,
+                                        nullptr, c.sni, nullptr);
+    EXPECT_EQ(ex.error, c.error) << c.message;
+    EXPECT_EQ(ex.detail, c.message);
+    EXPECT_EQ(ex.attempts, 1);
+    EXPECT_EQ(handshake_ns.count() - count_before, 1u) << c.message;
+    EXPECT_EQ(attempts.value() - attempts_before, 1u) << c.message;
+  }
+}
+
+TEST(ProbeEngine, MalformedClientBytesStillThrow) {
+  auto ca = test_ca();
+  SimInternet internet;
+  internet.add_server(make_server("api.example.com", ca));
+  const FaultInjector injector(internet, FaultSpec::parse("seed=3,timeout=0.5"));
+  const Bytes garbage = {0x16, 0x03, 0x01, 0x00, 0x09, 0x01};
+  const BytesView records(garbage.data(), garbage.size());
+  for (const Internet* network : {static_cast<const Internet*>(&internet),
+                                  static_cast<const Internet*>(&injector)}) {
+    EXPECT_THROW(network->connect(VantagePoint::kNewYork, records), ParseError);
+    TestEngine engine(*network);
+    EXPECT_THROW(engine.exchange("api.example.com", VantagePoint::kNewYork,
+                                 AddressFamily::kIPv4, records, nullptr,
+                                 "api.example.com", nullptr),
+                 ParseError);
+  }
+}
+
+TEST(ProbeEngine, BatteryHandshakesCountEveryAttemptAcrossFailureKinds) {
+  // A dual-stack battery over a v4-only host, a dark host, an unknown
+  // name and a healthy one, with injected timeouts, resets and an outage:
+  // every attempt, whatever it came back with, is one handshake_ns sample.
+  auto ca = test_ca();
+  SimInternet internet;
+  internet.add_server(make_server("api.example.com", ca));
+  SimServer dual = make_server("dual.example.com", ca);
+  dual.dual_stack = true;
+  internet.add_server(dual);
+  SimServer dark = make_server("dark.example.com", ca);
+  dark.unreachable_from = {VantagePoint::kSingapore};
+  internet.add_server(dark);
+  FaultInjector injector(
+      internet, FaultSpec::parse("seed=5,timeout=0.3,reset=0.1,outage=frankfurt:4:9"));
+  obs::Histogram& handshake_ns = obs::metrics().histogram("net.fingerprint.handshake_ns");
+  obs::Counter& attempts = obs::metrics().counter("net.fingerprint.attempts");
+  const std::uint64_t count_before = handshake_ns.count();
+  const std::uint64_t attempts_before = attempts.value();
+
+  StackFingerprinter fingerprinter(injector);
+  fingerprinter.set_families({AddressFamily::kIPv4, AddressFamily::kIPv6});
+  RetryPolicy retry;
+  retry.max_attempts = 3;
+  fingerprinter.set_retry_policy(retry);
+  StackSurvey survey = fingerprinter.survey(
+      {"api.example.com", "dual.example.com", "dark.example.com", "nowhere.example.com"});
+
+  EXPECT_GT(survey.summary.retries, 0u);
+  EXPECT_GT(survey.summary.answered_probes, 0u);
+  EXPECT_EQ(handshake_ns.count() - count_before, survey.summary.attempts);
+  EXPECT_EQ(attempts.value() - attempts_before, survey.summary.attempts);
+}
+
 // ----------------------------------------------------------- flight parse
 
 TEST(ServerFlightParse, ReadsHelloChainAndStaple) {
@@ -128,8 +250,10 @@ TEST(ServerFlightParse, ReadsHelloChainAndStaple) {
   SimInternet internet;
   internet.add_server(server);
   const Bytes flight = hello_spec({0, 5, 10, 11, 13}).flight("api.example.com");
-  const Bytes response = internet.connect(VantagePoint::kNewYork,
-                                          BytesView(flight.data(), flight.size()));
+  const ConnectResult answer = internet.connect(
+      VantagePoint::kNewYork, BytesView(flight.data(), flight.size()));
+  ASSERT_TRUE(answer.ok());
+  const Bytes& response = answer.response;
   const BytesView records(response.data(), response.size());
 
   ServerFlight full = parse_server_flight(records, SIZE_MAX, true);
@@ -154,8 +278,10 @@ TEST(ServerFlightParse, AlertEndsTheParse) {
   picky.supported_suites = {0x1301};
   internet.add_server(picky);
   const Bytes flight = hello_spec({0}).flight("picky.example.com");
-  const Bytes response = internet.connect(VantagePoint::kNewYork,
-                                          BytesView(flight.data(), flight.size()));
+  const ConnectResult answer = internet.connect(
+      VantagePoint::kNewYork, BytesView(flight.data(), flight.size()));
+  ASSERT_TRUE(answer.ok());
+  const Bytes& response = answer.response;
 
   ServerFlight parsed =
       parse_server_flight(BytesView(response.data(), response.size()), SIZE_MAX, true);

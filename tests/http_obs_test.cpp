@@ -454,8 +454,8 @@ class SlowInternet final : public net::Internet {
  public:
   SlowInternet(const net::Internet& inner, std::chrono::microseconds delay)
       : inner_(inner), delay_(delay) {}
-  Bytes connect(net::VantagePoint vantage, net::AddressFamily family,
-                BytesView client_records) const override {
+  net::ConnectResult connect(net::VantagePoint vantage, net::AddressFamily family,
+                             BytesView client_records) const override {
     std::this_thread::sleep_for(delay_);
     return inner_.connect(vantage, family, client_records);
   }

@@ -90,8 +90,10 @@ TEST(SimInternet, FullHandshakeOverWireBytes) {
   internet.add_server(make_server("api.example.com", ca));
 
   Bytes flight = client_flight("api.example.com");
-  Bytes response = internet.connect(VantagePoint::kNewYork,
-                                    BytesView(flight.data(), flight.size()));
+  ConnectResult answer = internet.connect(VantagePoint::kNewYork,
+                                          BytesView(flight.data(), flight.size()));
+  ASSERT_TRUE(answer.ok()) << answer.error->what();
+  const Bytes& response = answer.response;
   auto records = tls::parse_records(BytesView(response.data(), response.size()));
   Bytes payload = tls::handshake_payload(records);
   auto msgs = tls::split_handshakes(BytesView(payload.data(), payload.size()));
@@ -104,9 +106,12 @@ TEST(SimInternet, FullHandshakeOverWireBytes) {
 TEST(SimInternet, UnknownSniRefused) {
   SimInternet internet;
   Bytes flight = client_flight("nowhere.example.com");
-  EXPECT_THROW(internet.connect(VantagePoint::kNewYork,
-                                BytesView(flight.data(), flight.size())),
-               NetError);
+  ConnectResult answer =
+      internet.connect(VantagePoint::kNewYork, BytesView(flight.data(), flight.size()));
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.error->kind(), NetError::Kind::kNoRoute);
+  EXPECT_STREQ(answer.error->what(), "no route to host: nowhere.example.com");
+  EXPECT_TRUE(answer.response.empty());
 }
 
 TEST(SimInternet, UnreachableServerTimesOut) {
@@ -116,9 +121,11 @@ TEST(SimInternet, UnreachableServerTimesOut) {
   server.reachable = false;
   internet.add_server(std::move(server));
   Bytes flight = client_flight("dark.example.com");
-  EXPECT_THROW(internet.connect(VantagePoint::kNewYork,
-                                BytesView(flight.data(), flight.size())),
-               NetError);
+  ConnectResult answer =
+      internet.connect(VantagePoint::kNewYork, BytesView(flight.data(), flight.size()));
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.error->kind(), NetError::Kind::kTimeout);
+  EXPECT_STREQ(answer.error->what(), "connection timed out: dark.example.com");
 }
 
 TEST(SimInternet, NoSharedSuiteYieldsFatalAlert) {
@@ -126,8 +133,10 @@ TEST(SimInternet, NoSharedSuiteYieldsFatalAlert) {
   SimInternet internet;
   internet.add_server(make_server("api.example.com", ca));
   Bytes flight = client_flight("api.example.com", {0x1301});  // TLS1.3-only
-  Bytes response = internet.connect(VantagePoint::kNewYork,
-                                    BytesView(flight.data(), flight.size()));
+  ConnectResult answer = internet.connect(VantagePoint::kNewYork,
+                                          BytesView(flight.data(), flight.size()));
+  ASSERT_TRUE(answer.ok());
+  const Bytes& response = answer.response;
   auto alert = tls::find_alert(BytesView(response.data(), response.size()));
   ASSERT_TRUE(alert.has_value());
   EXPECT_EQ(alert->level, tls::AlertLevel::kFatal);
@@ -155,14 +164,15 @@ TEST(SimInternet, MissingSniRefused) {
   Bytes msg = ch.encode();
   Bytes flight = tls::encode_records(tls::ContentType::kHandshake, 0x0301,
                                      BytesView(msg.data(), msg.size()));
-  EXPECT_THROW(internet.connect(VantagePoint::kNewYork,
-                                BytesView(flight.data(), flight.size())),
-               NetError);
+  ConnectResult answer =
+      internet.connect(VantagePoint::kNewYork, BytesView(flight.data(), flight.size()));
+  ASSERT_FALSE(answer.ok());
+  EXPECT_STREQ(answer.error->what(), "ClientHello carries no SNI; cannot route");
 }
 
 TEST(SimInternet, MissingSniCarriesAnExplicitProtocolKind) {
   // The no-SNI rejection must classify structurally (kProtocol), never via
-  // the NetError default — a Kind-less throw would let classify_net_error
+  // the NetError default — a Kind-less failure would let classify_net_error
   // misfile it.
   SimInternet internet;
   tls::ClientHello ch;
@@ -170,13 +180,10 @@ TEST(SimInternet, MissingSniCarriesAnExplicitProtocolKind) {
   Bytes msg = ch.encode();
   Bytes flight = tls::encode_records(tls::ContentType::kHandshake, 0x0301,
                                      BytesView(msg.data(), msg.size()));
-  try {
-    internet.connect(VantagePoint::kNewYork,
-                     BytesView(flight.data(), flight.size()));
-    FAIL() << "connect accepted a ClientHello without SNI";
-  } catch (const NetError& e) {
-    EXPECT_EQ(e.kind(), NetError::Kind::kProtocol);
-  }
+  ConnectResult answer =
+      internet.connect(VantagePoint::kNewYork, BytesView(flight.data(), flight.size()));
+  ASSERT_FALSE(answer.ok()) << "connect accepted a ClientHello without SNI";
+  EXPECT_EQ(answer.error->kind(), NetError::Kind::kProtocol);
 }
 
 TEST(SimInternet, MalformedFlightRejected) {

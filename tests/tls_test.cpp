@@ -5,6 +5,8 @@
 #include <optional>
 
 #include "crypto/md5.hpp"
+#include "devicesim/scenario.hpp"
+#include "net/stack_fingerprint.hpp"
 #include "tls/ciphersuite.hpp"
 #include "tls/clienthello.hpp"
 #include "tls/alert.hpp"
@@ -15,6 +17,8 @@
 #include "tls/serverhello.hpp"
 #include "tls/version.hpp"
 #include "util/error.hpp"
+#include "util/reader.hpp"
+#include "util/rng.hpp"
 
 namespace iotls::tls {
 namespace {
@@ -314,6 +318,206 @@ TEST(Handshake, FirstClientHelloFromRecordStream) {
   // Not a record stream.
   Bytes junk = {0x16, 0x03, 0x03, 0x00, 0x40, 0x01};
   EXPECT_THROW(first_client_hello(BytesView(junk.data(), junk.size())), ParseError);
+}
+
+// ------------------------------------------------- in-place hello reading
+//
+// ClientHelloView and find_client_hello() read a client flight without
+// copying it. The oracle below is an independent copying parser: every
+// record payload copied, the handshakes split into owned messages, the
+// hello parsed field by field. On every input both must agree on the
+// outcome (a hello, no hello, or the same ParseError message) and, for a
+// hello, on its SNI; first_client_hello() must return the oracle's hello.
+
+/// The copying parser: the first ClientHello of `wire`, nullopt when the
+/// handshakes carry none; throws ParseError like first_client_hello().
+std::optional<ClientHello> oracle_first_client_hello(BytesView wire) {
+  Bytes handshakes;
+  Reader records(wire);
+  while (!records.empty()) {
+    std::uint8_t type = records.u8();
+    if (type < 20 || type > 23) throw ParseError("unknown TLS record content type");
+    records.u16();
+    std::uint16_t len = records.u16();
+    if (len > kMaxFragment) throw ParseError("TLS record fragment exceeds 2^14");
+    Bytes payload = records.bytes(len);
+    if (type == 22) handshakes.insert(handshakes.end(), payload.begin(), payload.end());
+  }
+  std::optional<Bytes> body;
+  Reader messages(BytesView(handshakes.data(), handshakes.size()));
+  while (!messages.empty()) {
+    std::uint8_t type = messages.u8();
+    Bytes message = messages.bytes(messages.u24());
+    if (type == 1 && !body.has_value()) body = std::move(message);
+  }
+  if (!body.has_value()) return std::nullopt;
+
+  Reader r(BytesView(body->data(), body->size()));
+  ClientHello ch;
+  ch.legacy_version = r.u16();
+  Bytes random = r.bytes(32);
+  std::copy(random.begin(), random.end(), ch.random.begin());
+  std::uint8_t sid_len = r.u8();
+  if (sid_len > 32) throw ParseError("session_id length > 32");
+  ch.session_id = r.bytes(sid_len);
+  std::uint16_t cs_len = r.u16();
+  if (cs_len % 2 != 0) throw ParseError("odd cipher_suites length");
+  Reader cs(r.view(cs_len));
+  while (!cs.empty()) ch.cipher_suites.push_back(cs.u16());
+  std::uint8_t comp_len = r.u8();
+  if (comp_len == 0) throw ParseError("empty compression_methods");
+  ch.compression_methods = r.bytes(comp_len);
+  if (!r.empty()) {
+    Reader block(r.view(r.u16()));
+    while (!block.empty()) {
+      Extension e;
+      e.type = block.u16();
+      e.data = block.bytes(block.u16());
+      ch.extensions.push_back(std::move(e));
+    }
+  }
+  r.expect_end("ClientHello body");
+  return ch;
+}
+
+/// The oracle's SNI rule: the first server_name extension that parses and
+/// names a host_name; a malformed one ends the search with no SNI.
+std::optional<std::string> oracle_sni(const ClientHello& ch) {
+  for (const Extension& e : ch.extensions) {
+    if (e.type != 0) continue;
+    try {
+      Reader r(BytesView(e.data.data(), e.data.size()));
+      Reader list(r.view(r.u16()));
+      while (!list.empty()) {
+        std::uint8_t name_type = list.u8();
+        std::string name = list.str(list.u16());
+        if (name_type == 0) return name;
+      }
+    } catch (const ParseError&) {
+      return std::nullopt;
+    }
+  }
+  return std::nullopt;
+}
+
+/// One reader's verdict on a flight: "hello:<sni or ->", "none", or
+/// "error:<ParseError message>".
+template <typename Read>
+std::string verdict(Read&& read) {
+  try {
+    return read();
+  } catch (const ParseError& e) {
+    return std::string("error:") + e.what();
+  }
+}
+
+std::string hello_verdict(const std::optional<std::string>& sni) {
+  return "hello:" + sni.value_or("-");
+}
+
+/// Offsets of the low bytes of a single-record battery flight's length
+/// fields: record, handshake, session_id, cipher_suites,
+/// compression_methods, the extension block, every extension, and the
+/// server_name list and host_name.
+std::vector<std::size_t> length_fields(const Bytes& flight) {
+  std::vector<std::size_t> out = {4, 8, 43, 45};
+  std::size_t pos = 46 + (static_cast<std::size_t>(flight[44]) << 8 | flight[45]);
+  out.push_back(pos);  // compression_methods length (one byte)
+  pos += 1 + flight[pos];
+  out.push_back(pos + 1);  // extension block length
+  for (pos += 2; pos + 4 <= flight.size();) {
+    const std::size_t len = static_cast<std::size_t>(flight[pos + 2]) << 8 | flight[pos + 3];
+    out.push_back(pos + 3);
+    if (flight[pos] == 0 && flight[pos + 1] == 0) {
+      out.push_back(pos + 5);  // server_name list length
+      out.push_back(pos + 8);  // host_name length
+    }
+    pos += 4 + len;
+  }
+  return out;
+}
+
+TEST(ClientHelloView, AgreesWithTheCopyingParserOnBatteryFlightsAndMutations) {
+  const std::vector<net::ProbeSpec>& battery = net::StackFingerprinter::standard_battery();
+  Rng rng(0x5eed);
+  std::size_t inputs = 0;
+  std::size_t hellos = 0;
+  std::size_t errors = 0;
+  std::size_t no_hello = 0;
+  auto check = [&](const Bytes& wire, const std::string& what) {
+    const BytesView b(wire.data(), wire.size());
+    ++inputs;
+    std::optional<ClientHello> expected;
+    const std::string oracle = verdict([&] {
+      expected = oracle_first_client_hello(b);
+      return expected.has_value() ? hello_verdict(oracle_sni(*expected)) : "none";
+    });
+    const std::string view = verdict([&] {
+      const RecordStream records(b);
+      std::optional<ClientHelloView> hello = find_client_hello(records);
+      if (!hello.has_value()) return std::string("none");
+      std::optional<std::string_view> sni = hello->sni();
+      return hello_verdict(sni ? std::optional<std::string>(*sni) : std::nullopt);
+    });
+    std::optional<ClientHello> copied;
+    const std::string first = verdict([&] {
+      copied = first_client_hello(b);
+      return copied.has_value() ? hello_verdict(copied->sni()) : "none";
+    });
+    ASSERT_EQ(view, oracle) << what;
+    ASSERT_EQ(first, oracle) << what;
+    ASSERT_EQ(copied, expected) << what;
+    if (oracle.rfind("hello:", 0) == 0) ++hellos;
+    else if (oracle == "none") ++no_hello;
+    else ++errors;
+  };
+
+  const devicesim::ServerUniverse universe = devicesim::ServerUniverse::standard();
+  for (const devicesim::ServerSpec& server : universe.specs()) {
+    for (const net::ProbeSpec& spec : battery) {
+      const Bytes flight = spec.flight(server.fqdn);
+      const std::string what = spec.name + " " + server.fqdn;
+      check(flight, what);
+
+      Bytes cut(flight.begin(), flight.begin() + static_cast<std::ptrdiff_t>(
+                                                     rng.uniform(0, flight.size() - 1)));
+      check(cut, what + " truncated to " + std::to_string(cut.size()));
+
+      Bytes flipped = flight;
+      const std::size_t at = static_cast<std::size_t>(rng.uniform(0, flight.size() - 1));
+      flipped[at] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
+      check(flipped, what + " flipped at " + std::to_string(at));
+
+      const std::vector<std::size_t> fields = length_fields(flight);
+      const std::size_t field = rng.pick(fields);
+      Bytes corrupt = flight;
+      corrupt[field] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
+      check(corrupt, what + " length field at " + std::to_string(field));
+
+      // The same handshake bytes split over two records: the view joins them.
+      const BytesView hs(flight.data() + 5, flight.size() - 5);
+      const std::size_t split = static_cast<std::size_t>(rng.uniform(1, hs.size() - 1));
+      Bytes fragmented = encode_records(ContentType::kHandshake, 0x0301, hs.subspan(0, split));
+      const Bytes tail = encode_records(ContentType::kHandshake, 0x0301, hs.subspan(split));
+      fragmented.insert(fragmented.end(), tail.begin(), tail.end());
+      check(fragmented, what + " split at " + std::to_string(split));
+    }
+  }
+  // Every outcome class was exercised.
+  EXPECT_GT(hellos, inputs / 2);
+  EXPECT_GT(errors, inputs / 10);
+  EXPECT_GT(no_hello, 0u);
+}
+
+TEST(ClientHelloView, ParseRoundTripsThroughTheView) {
+  const ClientHello ch = sample_hello();
+  const Bytes wire = ch.encode();
+  const ClientHelloView view = ClientHelloView::parse(BytesView(wire.data(), wire.size()));
+  EXPECT_EQ(view.legacy_version, ch.legacy_version);
+  EXPECT_EQ(view.cipher_suites.size(), 2 * ch.cipher_suites.size());
+  ASSERT_TRUE(view.sni().has_value());
+  EXPECT_EQ(*view.sni(), "api.example.com");
+  EXPECT_EQ(ClientHello::from(view), ch);
 }
 
 // ---------------------------------------------------------------- record layer

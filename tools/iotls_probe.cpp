@@ -26,9 +26,10 @@
 // (see README "Parallelism" for the two documented caveats).
 //
 // Fingerprinting: `--battery[=K]` switches from certificate harvesting to
-// active stack fingerprinting — the first K probes (default: all) of the
-// normative ClientHello battery (docs/FINGERPRINTING.md) against each SNI,
-// canonicalized and hashed into one digest per (SNI, vantage, family).
+// active stack fingerprinting — the first K probes (default: all; K must
+// lie in [1, battery size]) of the normative ClientHello battery
+// (docs/FINGERPRINTING.md) against each SNI, canonicalized and hashed into
+// one digest per (SNI, vantage, family).
 // `--family=v4|v6|dual` picks the address families probed (dual requires
 // --battery; without it, v4/v6 steers the certificate prober). The battery
 // honours --retries/--backoff-ms/--breaker/--fault-spec; --retry-budget is
@@ -43,6 +44,7 @@
 // survey — with `--serve-linger[=MS]` it stays up after the run so a scraper
 // can collect final totals; `--trace-out=FILE` writes a Chrome trace-event
 // JSON of the survey's nested spans (open it in Perfetto).
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,12 +79,15 @@ void usage(std::FILE* out) {
                "                   [--serve-linger[=MS]] [--trace-out=FILE] [sni ...]\n");
 }
 
-/// Parse the numeric value of a `--flag=N` argument; exits on garbage.
+/// Parse the numeric value of a `--flag=N` argument; exits on garbage. A
+/// leading sign (strtoull would wrap "-1" to 2^64-1) and a value past
+/// 2^64-1 are garbage too.
 std::uint64_t flag_u64(const char* arg, const char* flag) {
   const char* value = arg + std::strlen(flag);
   char* end = nullptr;
+  errno = 0;
   unsigned long long n = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+  if (value[0] < '0' || value[0] > '9' || *end != '\0' || errno == ERANGE) {
     std::fprintf(stderr, "%s wants a non-negative integer, got '%s'\n", flag, value);
     std::exit(2);
   }
@@ -141,11 +146,16 @@ int main(int argc, char** argv) {
       battery = true;
     } else if (has_prefix(argv[i], "--battery=")) {
       battery = true;
-      battery_k = static_cast<std::size_t>(flag_u64(argv[i], "--battery="));
-      if (battery_k == 0) {
-        std::fprintf(stderr, "--battery wants K >= 1 probes\n");
+      const char* value = argv[i] + std::strlen("--battery=");
+      const std::size_t size = net::StackFingerprinter::standard_battery().size();
+      int k = 0;
+      if (!tools::parse_int_flag("--battery=", value, size, &k)) return 2;
+      if (k == 0) {
+        std::fprintf(stderr, "--battery= wants an integer in [1,%zu], got '%s'\n",
+                     size, value);
         return 2;
       }
+      battery_k = static_cast<std::size_t>(k);
     } else if (has_prefix(argv[i], "--family=")) {
       family_flag = argv[i] + std::strlen("--family=");
       if (family_flag != "v4" && family_flag != "v6" && family_flag != "dual") {
