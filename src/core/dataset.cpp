@@ -1,5 +1,6 @@
 #include "core/dataset.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <string_view>
@@ -71,17 +72,6 @@ struct ClientDataset::DeviceTable {
       if (slot.tag == tag && devices[slot.row].id == id) return slot.row;
     }
   }
-
-  /// Row of `id` in `devices`, or kNone. A miss rebuilds the table and
-  /// retries unless `fresh` (already rebuilt during this call); sets `fresh`.
-  std::uint32_t find(std::string_view id, const std::vector<devicesim::Device>& devices,
-                     bool& fresh) {
-    std::uint32_t row = lookup(id, devices);
-    if (row != Interner::kNone || fresh) return row;
-    rebuild(devices);
-    fresh = true;
-    return lookup(id, devices);
-  }
 };
 
 ClientDataset::ClientDataset() : devices_(std::make_unique<DeviceTable>()) {}
@@ -131,6 +121,17 @@ std::string_view wire_key(const Bytes& wire) {
   return {reinterpret_cast<const char*>(wire.data()), wire.size()};
 }
 
+/// A wire's bytes with their hash, computed in the sharded phase so the
+/// sequential numbering does not hash again.
+struct HashedWire {
+  std::string_view bytes;
+  std::uint64_t hash = 0;
+  bool operator==(const HashedWire& other) const { return bytes == other.bytes; }
+};
+struct HashedWireHash {
+  std::size_t operator()(const HashedWire& wire) const { return wire.hash; }
+};
+
 }  // namespace
 
 ClientDataset ClientDataset::from_fleet(const devicesim::FleetDataset& fleet,
@@ -138,7 +139,6 @@ ClientDataset ClientDataset::from_fleet(const devicesim::FleetDataset& fleet,
                                         int jobs) {
   ClientDataset ds;
   ds.events_.reserve(fleet.events.size());
-  ds.index_.reserve(fleet.devices.size(), fleet.events.size());
   ds.append_events(fleet.events, fleet.devices, opts, jobs);
   ds.finalize();
   return ds;
@@ -159,27 +159,56 @@ void ClientDataset::append_events(
   static obs::Counter& drop_parse_error =
       obs::metrics().counter("core.dataset.events_dropped.parse_error");
   auto span = obs::tracer().span("fingerprint.extract");
+  jobs_ = jobs;
 
-  // Phase 1 (sequential): resolve each event's device row, and number the
-  // distinct wires of known devices' events. The map views the caller's
-  // bytes and dies with this call.
+  // Phase 1 (parallel, contiguous shards): resolve each event's device row
+  // against the table read-only and hash its wire.
   constexpr std::uint32_t kNone = Interner::kNone;
+  const std::size_t n = raw_events.size();
   bool fresh = devices_->bind(fleet_devices);
-  std::vector<std::uint32_t> row_of(raw_events.size());
-  std::vector<std::uint32_t> wire_of(raw_events.size(), kNone);
+  if (fresh && index_.devices().empty()) {
+    index_.reserve(fleet_devices.size(), n);
+  }
+  std::vector<std::uint32_t> row_of(n);
+  std::vector<std::uint64_t> hash_of(n);
+  constexpr std::size_t kShard = 2048;
+  exec::parallel_for(jobs, (n + kShard - 1) / kShard, [&](std::size_t shard) {
+    const std::size_t end = std::min(n, (shard + 1) * kShard);
+    for (std::size_t i = shard * kShard; i < end; ++i) {
+      row_of[i] = devices_->lookup(raw_events[i].device_id, fleet_devices);
+      hash_of[i] = std::hash<std::string_view>{}(wire_key(raw_events[i].wire));
+    }
+  });
+  // The first miss of a call rebuilds the table (unless bind() just built
+  // it), and that event and every later one resolve again on the rebuilt
+  // table: what resolving one event at a time in order would give.
+  if (!fresh) {
+    auto miss = std::find(row_of.begin(), row_of.end(), kNone);
+    if (miss != row_of.end()) {
+      devices_->rebuild(fleet_devices);
+      for (std::size_t i = static_cast<std::size_t>(miss - row_of.begin()); i < n; ++i) {
+        row_of[i] = devices_->lookup(raw_events[i].device_id, fleet_devices);
+      }
+    }
+  }
+
+  // Number the distinct wires of known devices' events (sequential, so
+  // wire numbers are first-seen). The map views the caller's bytes and
+  // dies with this block.
+  std::vector<std::uint32_t> wire_of(n, kNone);
   std::vector<BytesView> wires;
   {
-    std::unordered_map<std::string_view, std::uint32_t> wire_ids;
-    for (std::size_t i = 0; i < raw_events.size(); ++i) {
-      const devicesim::ClientHelloEvent& raw = raw_events[i];
-      row_of[i] = devices_->find(raw.device_id, fleet_devices, fresh);
+    std::unordered_map<HashedWire, std::uint32_t, HashedWireHash> wire_ids;
+    for (std::size_t i = 0; i < n; ++i) {
       if (row_of[i] == kNone) continue;
-      auto [it, added] = wire_ids.try_emplace(
-          wire_key(raw.wire), static_cast<std::uint32_t>(wires.size()));
-      if (added) wires.emplace_back(raw.wire.data(), raw.wire.size());
+      const Bytes& wire = raw_events[i].wire;
+      auto [it, added] = wire_ids.try_emplace({wire_key(wire), hash_of[i]},
+                                              static_cast<std::uint32_t>(wires.size()));
+      if (added) wires.emplace_back(wire.data(), wire.size());
       wire_of[i] = it->second;
     }
   }
+  hash_of = {};
 
   // Phase 2 (parallel): parse and fingerprint each distinct wire once.
   std::vector<WireParse> parsed(wires.size());
@@ -188,8 +217,8 @@ void ClientDataset::append_events(
   });
   wires_counter.inc(wires.size());
 
-  // Phase 3 (sequential, input order): drop accounting per event, interning
-  // at first sight, and the id-level fold.
+  // Phase 3 (sequential, input order): drop accounting per event, and
+  // interning at first sight into one id row per folded event.
   auto drop = [&](std::size_t& reason_count, obs::Counter& counter,
                   const char* reason, const devicesim::ClientHelloEvent& raw) {
     ++reason_count;
@@ -202,8 +231,9 @@ void ClientDataset::append_events(
     }
   };
 
-  std::uint64_t folded = 0;
-  for (std::size_t i = 0; i < raw_events.size(); ++i) {
+  std::vector<EventIds> folded;
+  folded.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const devicesim::ClientHelloEvent& raw = raw_events[i];
     if (row_of[i] == kNone) {
       drop(dropped_.unknown_device, drop_unknown_device, "unknown_device", raw);
@@ -232,8 +262,7 @@ void ClientDataset::append_events(
     const std::string& sni = wire.sni.has_value() ? *wire.sni : raw.sni;
     std::uint32_t sni_ix =
         wire.sni.has_value() ? wire.sni_ix : index_.intern_sni(raw.sni);
-    index_.record(ids, sni_ix, wire.fp_ix);
-    ++folded;
+    folded.push_back({ids, sni_ix, wire.fp_ix});
 
     if (!retain_events_) continue;
     ParsedEvent& ev = events_.emplace_back();
@@ -253,10 +282,17 @@ void ClientDataset::append_events(
     ev.sni_ix = sni_ix;
     ev.fp_ix = wire.fp_ix;
   }
-  parsed_counter.inc(folded);
-  span.add_items(folded);
+
+  // Phase 4 (parallel, one task per posting table): the id-level fold.
+  index_.record(folded, jobs);
+  parsed_counter.inc(folded.size());
+  span.add_items(folded.size());
 }
 
-void ClientDataset::finalize() { index_.finalize(); }
+void ClientDataset::finalize() {
+  auto span = obs::tracer().span("index.finalize");
+  index_.finalize(jobs_);
+  span.add_items();
+}
 
 }  // namespace iotls::core

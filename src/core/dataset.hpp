@@ -61,10 +61,10 @@ class ClientDataset {
   ClientDataset& operator=(ClientDataset&&) noexcept;
 
   /// Parse a fleet's events. Undecodable events are dropped (counted
-  /// per reason in drop_counts()). `jobs` > 1 parses wire bytes on a
-  /// worker pool (0 = hardware concurrency); the index fold stays
-  /// sequential in input order, so the resulting dataset is identical to
-  /// the jobs=1 build bit for bit.
+  /// per reason in drop_counts()). `jobs` > 1 runs the fold on a worker
+  /// pool (0 = hardware concurrency), as append_events and finalize
+  /// describe; the resulting dataset is identical to the jobs=1 build bit
+  /// for bit.
   static ClientDataset from_fleet(const devicesim::FleetDataset& fleet,
                                   const tls::FingerprintOptions& opts = {},
                                   int jobs = 1);
@@ -72,26 +72,33 @@ class ClientDataset {
   /// Incremental ingest: parse `events` (devices resolved against `devices`)
   /// and fold them into the dataset after whatever is already there.
   ///
-  /// The call deduplicates the epoch's wire bytes and parses each distinct
-  /// wire once, on `jobs` workers; an undecodable wire still drops (and
-  /// counts) every event that carries it. The fold is sequential in arrival
-  /// order and works on interned ids, so any epoch split of one event
+  /// The call runs on `jobs` workers (0 = hardware concurrency) where no
+  /// order is at stake: contiguous event shards resolve device rows and
+  /// hash wires, each distinct wire is parsed once (an undecodable wire
+  /// still drops, and counts, every event that carries it), and each of
+  /// the index's nine posting tables is appended by one task. Numbering the
+  /// wires and interning stay sequential in arrival order, so ids are
+  /// first-seen and every table's single writer appends in event order: the
+  /// dataset is the same at any `jobs`, and any epoch split of one event
   /// stream builds the same dataset as a single batch call over the
   /// concatenation, bit for bit. No wire state outlives the call, so memory
   /// does not grow with the number of distinct wires ever seen.
   ///
   /// Device ids resolve through a table kept across calls and rebuilt only
   /// when `devices` is a different vector (data pointer or size) or on the
-  /// first miss of a call; a hit is always checked against the row's id. A
+  /// first miss of a call, after which that event and all later ones
+  /// resolve again; a hit is always checked against the row's id. A
   /// repeated id resolves to its first row, as FleetDataset::find_device
   /// does. Rewriting a device's vendor, type or user in place between calls
-  /// is not detected. Call finalize() before reading the index.
+  /// is not detected. The first call that builds the table reserves the
+  /// index for its devices. Call finalize() before reading the index.
   void append_events(const std::vector<devicesim::ClientHelloEvent>& events,
                      const std::vector<devicesim::Device>& devices,
                      const tls::FingerprintOptions& opts = {}, int jobs = 1);
 
-  /// Re-finalize the index after append_events (see DatasetIndex::finalize
-  /// for its cost).
+  /// Re-finalize the index after append_events, on the `jobs` workers the
+  /// last append_events call was given (see DatasetIndex::finalize for its
+  /// cost). Each call is one item of the `index.finalize` stage.
   void finalize();
 
   /// When false, append_events folds every parsed event into the index but
@@ -121,6 +128,7 @@ class ClientDataset {
   DropCounts dropped_;
   DatasetIndex index_;
   bool retain_events_ = true;
+  int jobs_ = 1;  // of the last append_events call, for finalize()
 };
 
 }  // namespace iotls::core

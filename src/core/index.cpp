@@ -4,19 +4,45 @@
 #include <cstring>
 #include <utility>
 
+#include "exec/pool.hpp"
+
 namespace iotls::core {
+
+namespace {
+
+/// Each table's row and id columns in an EventIds, in DatasetIndex::Table
+/// order.
+struct Relation {
+  std::uint32_t EventIds::*row;
+  std::uint32_t EventIds::*id;
+};
+constexpr Relation kRelations[] = {
+    {&EventIds::fp, &EventIds::vendor},      // fp_vendors
+    {&EventIds::fp, &EventIds::device},      // fp_devices
+    {&EventIds::fp, &EventIds::sni},         // fp_snis
+    {&EventIds::vendor, &EventIds::fp},      // vendor_fps
+    {&EventIds::device, &EventIds::fp},      // device_fps
+    {&EventIds::sni, &EventIds::device},     // sni_devices
+    {&EventIds::sni, &EventIds::vendor},     // sni_vendors
+    {&EventIds::sni, &EventIds::fp},         // sni_fps
+    {&EventIds::sni, &EventIds::user},       // sni_users
+};
+
+}  // namespace
 
 void DatasetIndex::reserve(std::size_t expected_devices,
                            std::size_t expected_events) {
   devices_.reserve(expected_devices);
   device_vendor_.reserve(expected_devices);
   device_type_.reserve(expected_devices);
-  device_fps_.reserve(expected_devices);
-  // Fingerprint/SNI universes are far smaller than the event stream; a
-  // sqrt-ish hint avoids rehashing without overcommitting.
+  tables_[kDeviceFps].rows.reserve(expected_devices);
+  // Fingerprint/SNI universes are far smaller than the event stream, and
+  // users far fewer than devices; a fraction of the events avoids
+  // rehashing without overcommitting.
   std::size_t hint = expected_events / 8 + 16;
   fps_.reserve(hint);
   snis_.reserve(hint);
+  users_.reserve(std::min(hint, expected_devices));
 }
 
 DeviceIds DatasetIndex::intern_device(std::string_view id, std::string_view vendor,
@@ -42,16 +68,15 @@ std::uint32_t DatasetIndex::intern_fp(std::string_view key,
   return id;
 }
 
-void DatasetIndex::record(const DeviceIds& d, std::uint32_t sni, std::uint32_t fp) {
-  append_posting(fp_vendors_, dirty_fp_vendors_, fp, d.vendor);
-  append_posting(fp_devices_, dirty_fp_devices_, fp, d.device);
-  append_posting(fp_snis_, dirty_fp_snis_, fp, sni);
-  append_posting(vendor_fps_, dirty_vendor_fps_, d.vendor, fp);
-  append_posting(device_fps_, dirty_device_fps_, d.device, fp);
-  append_posting(sni_devices_, dirty_sni_devices_, sni, d.device);
-  append_posting(sni_vendors_, dirty_sni_vendors_, sni, d.vendor);
-  append_posting(sni_fps_, dirty_sni_fps_, sni, fp);
-  append_posting(sni_users_, dirty_sni_users_, sni, d.user);
+void DatasetIndex::record(const std::vector<EventIds>& events, int jobs) {
+  static_assert(std::size(kRelations) == kTables);
+  exec::parallel_for(jobs, kTables, [&](std::size_t t) {
+    const Relation rel = kRelations[t];
+    PostingTable& table = tables_[t];
+    for (const EventIds& ev : events) {
+      append_posting(table.rows, table.dirty, ev.*rel.row, ev.*rel.id);
+    }
+  });
 }
 
 void DatasetIndex::ByName::extend(const Interner& names) {
@@ -103,44 +128,47 @@ void DatasetIndex::ByName::extend(const Interner& names) {
   }
 }
 
-void DatasetIndex::finalize() {
-  // Vendor bitsets first, while each dirty row's new fingerprints are still
-  // its unsorted tail. Growth of the fingerprint universe resizes every
-  // bitset, so those are refilled from their whole row (bounded by
-  // vendors x fingerprints, not by events).
+void DatasetIndex::update_vendor_bits() {
+  // Growth of the fingerprint universe resizes every bitset, so those are
+  // refilled from their whole row (bounded by vendors x fingerprints, not
+  // by events); otherwise a vendor takes its dirty row's new tail.
+  const std::vector<PostingList>& vendor_fps = tables_[kVendorFps].rows;
+  const DirtyRows& dirty = tables_[kVendorFps].dirty;
   vendor_fp_bits_.resize(vendors_.size());
   for (std::uint32_t v = 0; v < vendor_fp_bits_.size(); ++v) {
     Bitset& bits = vendor_fp_bits_[v];
     if (bits.size() == fps_.size()) continue;
     bits = Bitset(fps_.size());
-    if (v < vendor_fps_.size()) {
-      for (std::uint32_t f : vendor_fps_[v]) bits.set(f);
+    if (v < vendor_fps.size()) {
+      for (std::uint32_t f : vendor_fps[v]) bits.set(f);
     }
   }
-  for (std::size_t i = 0; i < dirty_vendor_fps_.rows.size(); ++i) {
-    std::uint32_t v = dirty_vendor_fps_.rows[i];
-    const PostingList& list = vendor_fps_[v];
-    for (std::size_t j = dirty_vendor_fps_.sorted[i]; j < list.size(); ++j) {
+  for (std::size_t i = 0; i < dirty.rows.size(); ++i) {
+    std::uint32_t v = dirty.rows[i];
+    const PostingList& list = vendor_fps[v];
+    for (std::size_t j = dirty.sorted[i]; j < list.size(); ++j) {
       vendor_fp_bits_[v].set(list[j]);
     }
   }
+}
 
+void DatasetIndex::finalize(int jobs) {
   // Delta merge of every relation (see merge_dirty_rows): rows not
-  // appended to since the last finalize are untouched.
-  merge_dirty_rows(fp_vendors_, dirty_fp_vendors_);
-  merge_dirty_rows(fp_devices_, dirty_fp_devices_);
-  merge_dirty_rows(fp_snis_, dirty_fp_snis_);
-  merge_dirty_rows(vendor_fps_, dirty_vendor_fps_);
-  merge_dirty_rows(device_fps_, dirty_device_fps_);
-  merge_dirty_rows(sni_devices_, dirty_sni_devices_);
-  merge_dirty_rows(sni_vendors_, dirty_sni_vendors_);
-  merge_dirty_rows(sni_fps_, dirty_sni_fps_);
-  merge_dirty_rows(sni_users_, dirty_sni_users_);
-
-  vendors_by_name_.extend(vendors_);
-  devices_by_name_.extend(devices_);
-  snis_by_name_.extend(snis_);
-  fps_by_key_.extend(fps_);
+  // appended to since the last finalize are untouched. The permutations
+  // come first, as the longest tasks.
+  ByName* const by_name[] = {&devices_by_name_, &fps_by_key_, &snis_by_name_,
+                             &vendors_by_name_};
+  const Interner* const names[] = {&devices_, &fps_, &snis_, &vendors_};
+  constexpr std::size_t kPermutations = std::size(by_name);
+  exec::parallel_for(jobs, kPermutations + kTables, [&](std::size_t task) {
+    if (task < kPermutations) {
+      by_name[task]->extend(*names[task]);
+      return;
+    }
+    const auto t = static_cast<Table>(task - kPermutations);
+    if (t == kVendorFps) update_vendor_bits();
+    merge_dirty_rows(tables_[t].rows, tables_[t].dirty);
+  });
 }
 
 }  // namespace iotls::core

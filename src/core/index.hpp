@@ -3,14 +3,17 @@
 // Replaces the seed's twelve map<string, set<string>> indexes with posting
 // lists (sorted vector<uint32_t>) over dense interned ids, plus per-vendor
 // bitsets over the fingerprint domain for the Table 4 Jaccard analysis.
-// Built in the sequential fold of ClientDataset::append_events (event
-// order), so ids and posting lists are bit-identical at every --jobs level.
-// The fold works on ids only: strings are interned when a device or a
-// fingerprint is first folded, never per event. This index is the only
-// store of the client-side relations; no string-keyed view of it exists,
-// and readers resolve ids to strings only where they print them.
+// ClientDataset::append_events interns in event order and hands each epoch
+// over as one buffer of id rows; every posting table then has exactly one
+// writer (one task per table, whatever the --jobs level), so ids and
+// posting lists are bit-identical at every --jobs level. The fold works on
+// ids only: strings are interned when a device or a fingerprint is first
+// folded, never per event. This index is the only store of the client-side
+// relations; no string-keyed view of it exists, and readers resolve ids to
+// strings only where they print them.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <string_view>
@@ -27,6 +30,13 @@ struct DeviceIds {
   std::uint32_t vendor = Interner::kNone;
   std::uint32_t type = Interner::kNone;
   std::uint32_t user = Interner::kNone;
+};
+
+/// One folded event as interned ids: its device's ids, its SNI and its
+/// fingerprint.
+struct EventIds : DeviceIds {
+  std::uint32_t sni = Interner::kNone;
+  std::uint32_t fp = Interner::kNone;
 };
 
 class DatasetIndex {
@@ -48,15 +58,15 @@ class DatasetIndex {
   // Posting lists, indexed by the row domain's id; sorted-unique after
   // finalize(). fp_vendors()[f] are the vendor ids seen with fingerprint f,
   // and so on — the same relations as the seed's string maps.
-  const std::vector<PostingList>& fp_vendors() const { return fp_vendors_; }
-  const std::vector<PostingList>& fp_devices() const { return fp_devices_; }
-  const std::vector<PostingList>& fp_snis() const { return fp_snis_; }
-  const std::vector<PostingList>& vendor_fps() const { return vendor_fps_; }
-  const std::vector<PostingList>& device_fps() const { return device_fps_; }
-  const std::vector<PostingList>& sni_devices() const { return sni_devices_; }
-  const std::vector<PostingList>& sni_vendors() const { return sni_vendors_; }
-  const std::vector<PostingList>& sni_fps() const { return sni_fps_; }
-  const std::vector<PostingList>& sni_users() const { return sni_users_; }
+  const std::vector<PostingList>& fp_vendors() const { return rows(kFpVendors); }
+  const std::vector<PostingList>& fp_devices() const { return rows(kFpDevices); }
+  const std::vector<PostingList>& fp_snis() const { return rows(kFpSnis); }
+  const std::vector<PostingList>& vendor_fps() const { return rows(kVendorFps); }
+  const std::vector<PostingList>& device_fps() const { return rows(kDeviceFps); }
+  const std::vector<PostingList>& sni_devices() const { return rows(kSniDevices); }
+  const std::vector<PostingList>& sni_vendors() const { return rows(kSniVendors); }
+  const std::vector<PostingList>& sni_fps() const { return rows(kSniFps); }
+  const std::vector<PostingList>& sni_users() const { return rows(kSniUsers); }
 
   /// device id -> vendor id / type id (total functions on interned devices).
   std::uint32_t device_vendor(std::uint32_t device) const {
@@ -79,10 +89,13 @@ class DatasetIndex {
   const std::vector<std::uint32_t>& snis_by_name() const { return snis_by_name_.ids; }
   const std::vector<std::uint32_t>& fps_by_key() const { return fps_by_key_.ids; }
 
-  /// Size hints from the raw fleet (satellite: reserve before the fold).
+  /// Size hints from the raw fleet: the device domain and the per-device
+  /// rows for `expected_devices`; the fingerprint, SNI and user domains
+  /// for a fraction of `expected_events` (users also capped by the
+  /// devices). Call before the first fold.
   void reserve(std::size_t expected_devices, std::size_t expected_events);
 
-  // Interning for the sequential fold. Each domain assigns ids in
+  // Interning, in event order (sequential). Each domain assigns ids in
   // first-call order, so callers intern at the first folded event that
   // carries a string; repeat calls return the existing id.
 
@@ -94,9 +107,11 @@ class DatasetIndex {
   /// Intern a fingerprint by key, keeping its value on first sight.
   std::uint32_t intern_fp(std::string_view key, const tls::Fingerprint& fp);
 
-  /// Fold one event, given as interned ids (sequential fold, input order):
-  /// appends to the posting lists.
-  void record(const DeviceIds& device, std::uint32_t sni, std::uint32_t fp);
+  /// Fold `events`, in order, into the nine posting tables. Each table is
+  /// appended by one task over the whole buffer, the tasks spread over
+  /// `jobs` workers (0 = hardware concurrency); one writer per table keeps
+  /// every row's append order the event order at any `jobs`.
+  void record(const std::vector<EventIds>& events, int jobs = 1);
 
   /// Sort/unique the posting lists, update the vendor bitsets and the
   /// lexicographic permutations. Callable repeatedly: the streaming ingest
@@ -109,7 +124,12 @@ class DatasetIndex {
   /// and permutations it extends, never a re-sort of history. Appending the
   /// same event stream under any epoch split yields indexes byte-identical
   /// to one batch fold over the concatenation.
-  void finalize();
+  ///
+  /// The nine table merges and the four permutation extends are
+  /// independent tasks over `jobs` workers; the vendor bitsets run in the
+  /// vendor_fps merge task, before it sorts the tails they read. Each task
+  /// owns what it writes, so the result is the same at any `jobs`.
+  void finalize(int jobs = 1);
 
  private:
   /// A lexicographic id permutation, with each entry's first 16 bytes kept
@@ -127,18 +147,26 @@ class DatasetIndex {
     void extend(const Interner& names);
   };
 
+  /// The posting tables, one per relation (row domain -> id domain).
+  enum Table {
+    kFpVendors, kFpDevices, kFpSnis, kVendorFps, kDeviceFps,
+    kSniDevices, kSniVendors, kSniFps, kSniUsers, kTables
+  };
+  struct PostingTable {
+    std::vector<PostingList> rows;
+    DirtyRows dirty;  // rows appended to since the last finalize
+  };
+  const std::vector<PostingList>& rows(Table t) const { return tables_[t].rows; }
+
+  /// Fill the vendor bitsets, reading each dirty vendor_fps row's unsorted
+  /// tail (so before that table merges).
+  void update_vendor_bits();
+
   Interner vendors_, devices_, types_, users_, snis_, fps_;
   std::vector<tls::Fingerprint> fp_values_;
 
-  std::vector<PostingList> fp_vendors_, fp_devices_, fp_snis_;
-  std::vector<PostingList> vendor_fps_, device_fps_;
-  std::vector<PostingList> sni_devices_, sni_vendors_, sni_fps_, sni_users_;
+  std::array<PostingTable, kTables> tables_;
   std::vector<std::uint32_t> device_vendor_, device_type_;
-
-  DirtyRows dirty_fp_vendors_, dirty_fp_devices_, dirty_fp_snis_;
-  DirtyRows dirty_vendor_fps_, dirty_device_fps_;
-  DirtyRows dirty_sni_devices_, dirty_sni_vendors_, dirty_sni_fps_,
-      dirty_sni_users_;
 
   std::vector<Bitset> vendor_fp_bits_;
   ByName vendors_by_name_, devices_by_name_, snis_by_name_, fps_by_key_;

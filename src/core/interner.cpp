@@ -8,35 +8,58 @@
 
 namespace iotls::core {
 
-Interner::Interner(const Interner& other) : strings_(other.strings_) {
-  ids_.reserve(strings_.size());
+namespace {
+
+std::uint64_t hash_of(std::string_view s) { return std::hash<std::string_view>{}(s); }
+
+}  // namespace
+
+std::size_t Interner::probe(std::string_view s, std::uint64_t hash) const {
+  const auto tag = static_cast<std::uint32_t>(hash >> 32);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash & mask;
+  while (slots_[i].id != kNone &&
+         !(slots_[i].tag == tag && strings_[slots_[i].id] == s)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void Interner::rehash(std::size_t slots) {
+  slots_.assign(slots, Slot{});
+  const std::size_t mask = slots - 1;
   for (std::uint32_t id = 0; id < strings_.size(); ++id) {
-    ids_.emplace(std::string_view(strings_[id]), id);
+    const std::uint64_t hash = hash_of(strings_[id]);
+    std::size_t i = hash & mask;
+    while (slots_[i].id != kNone) i = (i + 1) & mask;
+    slots_[i] = {static_cast<std::uint32_t>(hash >> 32), id};
   }
 }
 
-Interner& Interner::operator=(const Interner& other) {
-  if (this != &other) *this = Interner(other);
-  return *this;
+void Interner::reserve(std::size_t n) {
+  if (2 * n > slots_.size()) rehash(std::bit_ceil(2 * n));
 }
 
 std::uint32_t Interner::intern(std::string_view s) {
-  auto it = ids_.find(s);
-  if (it != ids_.end()) return it->second;
-  std::uint32_t id = static_cast<std::uint32_t>(strings_.size());
+  if (2 * (strings_.size() + 1) > slots_.size()) {
+    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+  }
+  const std::uint64_t hash = hash_of(s);
+  const std::size_t i = probe(s, hash);
+  if (slots_[i].id != kNone) return slots_[i].id;
+  const auto id = static_cast<std::uint32_t>(strings_.size());
   strings_.emplace_back(s);
-  ids_.emplace(std::string_view(strings_.back()), id);
+  slots_[i] = {static_cast<std::uint32_t>(hash >> 32), id};
   // High-water accounting for the dominant retained allocation (string
-  // payload + hash-slot overhead); the `mem.arena.interner.*` gauges are
-  // how a scrape sees "resident memory ~ O(distinct fingerprints)".
-  obs::interner_arena().allocate(s.size() + sizeof(std::string) +
-                                 sizeof(std::uint32_t) + sizeof(void*));
+  // payload + slot overhead); the `mem.arena.interner.*` gauges are how a
+  // scrape sees "resident memory ~ O(distinct fingerprints)".
+  obs::interner_arena().allocate(s.size() + sizeof(std::string) + 2 * sizeof(Slot));
   return id;
 }
 
 std::uint32_t Interner::find(std::string_view s) const {
-  auto it = ids_.find(s);
-  return it == ids_.end() ? kNone : it->second;
+  if (slots_.empty()) return kNone;
+  return slots_[probe(s, hash_of(s))].id;
 }
 
 std::vector<std::uint32_t> Interner::ids_by_string() const {

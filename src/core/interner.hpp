@@ -14,7 +14,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace iotls::core {
@@ -22,17 +21,14 @@ namespace iotls::core {
 /// String <-> dense uint32 id map. Ids are assigned in first-seen order, so
 /// an input processed in deterministic order (the sequential index fold)
 /// yields the same ids on every run and at every --jobs level.
+///
+/// The map is an open-addressing table of (hash tag, id) slots, at most half
+/// full, whose hits are checked against the stored string: one hash per
+/// call and no node per string. It holds ids, not views, so a copy is a
+/// plain member-wise copy.
 class Interner {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  Interner() = default;
-  /// A copy owns its strings: the id map is rebuilt over the copied
-  /// storage, never left viewing the source's.
-  Interner(const Interner& other);
-  Interner& operator=(const Interner& other);
-  Interner(Interner&&) = default;
-  Interner& operator=(Interner&&) = default;
 
   /// Id of `s`, interning it if unseen.
   std::uint32_t intern(std::string_view s);
@@ -46,26 +42,26 @@ class Interner {
 
   std::uint32_t size() const { return static_cast<std::uint32_t>(strings_.size()); }
   bool empty() const { return strings_.empty(); }
-  void reserve(std::size_t n) { ids_.reserve(n); }
+  /// Size the table for `n` strings, so interning up to `n` never rehashes.
+  void reserve(std::size_t n);
 
   /// All ids, permuted into lexicographic string order — the iteration
   /// order of the seed's std::map indexes, which report output depends on.
   std::vector<std::uint32_t> ids_by_string() const;
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct Eq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const { return a == b; }
+  struct Slot {
+    std::uint32_t tag = 0;      // high half of the string's hash
+    std::uint32_t id = kNone;   // kNone: empty
   };
 
+  /// The slot holding `s`, or the empty slot where it would go.
+  std::size_t probe(std::string_view s, std::uint64_t hash) const;
+  /// Re-slot every id into a table of `slots` slots (a power of two).
+  void rehash(std::size_t slots);
+
   std::deque<std::string> strings_;  // deque: stable references across growth
-  std::unordered_map<std::string_view, std::uint32_t, Hash, Eq> ids_;
+  std::vector<Slot> slots_;          // power-of-two size, at most half full
 };
 
 /// Fixed-width bitset over a dense id domain, sized once at finalize time.

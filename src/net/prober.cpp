@@ -152,7 +152,8 @@ TlsProber::TlsProber(const Internet& internet)
     : ProbeEngine(internet, "net.probe") {}
 
 ProbeResult TlsProber::probe_with(const std::string& sni, VantagePoint vantage,
-                                  CircuitBreaker* breaker, RetryBudget* budget,
+                                  BytesView flight, CircuitBreaker* breaker,
+                                  RetryBudget* budget,
                                   DegradationSummary& summary) const {
   static obs::Counter& total = obs::metrics().counter("net.probe.total");
   static obs::Counter& skipped = obs::metrics().counter("net.probe.skipped.breaker");
@@ -169,9 +170,7 @@ ProbeResult TlsProber::probe_with(const std::string& sni, VantagePoint vantage,
     trace_span.detail("sni=" + sni + " vantage=" + vantage_slug(vantage));
   }
 
-  const Bytes flight = prober_spec().flight(sni);
-  Exchange ex = exchange(sni, vantage, family_, BytesView(flight.data(), flight.size()),
-                         breaker, sni, budget);
+  Exchange ex = exchange(sni, vantage, family_, flight, breaker, sni, budget);
   if (ex.error == ProbeError::kSkipped) {
     error_counter(ProbeError::kSkipped).inc();
     skipped.inc();
@@ -242,7 +241,9 @@ ProbeResult TlsProber::probe_with(const std::string& sni, VantagePoint vantage,
 
 ProbeResult TlsProber::probe(const std::string& sni, VantagePoint vantage) const {
   DegradationSummary unused;
-  return probe_with(sni, vantage, nullptr, nullptr, unused);
+  const Bytes flight = prober_spec().flight(sni);
+  return probe_with(sni, vantage, BytesView(flight.data(), flight.size()), nullptr,
+                    nullptr, unused);
 }
 
 MultiVantageResult TlsProber::probe_vantages(const std::string& sni,
@@ -253,8 +254,11 @@ MultiVantageResult TlsProber::probe_vantages(const std::string& sni,
   if (trace_span.active()) trace_span.detail("sni=" + sni);
   MultiVantageResult multi;
   multi.sni = sni;
+  // One flight serves every vantage: the hello depends on the SNI only.
+  const Bytes flight = prober_spec().flight(sni);
   for (VantagePoint v : kAllVantagePoints) {
-    multi.by_vantage[v] = probe_with(sni, v, breaker, budget, summary);
+    multi.by_vantage[v] = probe_with(sni, v, BytesView(flight.data(), flight.size()),
+                                     breaker, budget, summary);
   }
   return multi;
 }

@@ -136,13 +136,14 @@ class TlsProber : private ProbeEngine {
   SurveyReport survey_report(const std::vector<std::string>& snis) const;
 
  private:
-  /// One probe: the exchange (gated by `breaker` and drawing on `budget`
-  /// when given), the flight parse, and the net.probe.* and `summary`
-  /// accounting.
+  /// One probe: the exchange of `flight` (the prober's ClientHello for
+  /// `sni`; gated by `breaker` and drawing on `budget` when given), the
+  /// server flight parse, and the net.probe.* and `summary` accounting.
   ProbeResult probe_with(const std::string& sni, VantagePoint vantage,
-                         CircuitBreaker* breaker, RetryBudget* budget,
-                         DegradationSummary& summary) const;
-  /// All vantage points in order for one occurrence of `sni`.
+                         BytesView flight, CircuitBreaker* breaker,
+                         RetryBudget* budget, DegradationSummary& summary) const;
+  /// All vantage points in order for one occurrence of `sni`, sending the
+  /// one ClientHello flight built for it.
   MultiVantageResult probe_vantages(const std::string& sni,
                                     CircuitBreaker* breaker,
                                     RetryBudget* budget,

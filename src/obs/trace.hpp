@@ -22,8 +22,8 @@
 //    site is one relaxed atomic load (enforced by bench_obs_overhead).
 //
 // Canonical stage names used across the pipeline:
-//   pcap.decode, fingerprint.extract, corpus.match, probe, probe.shard,
-//   chain.validate, report
+//   pcap.decode, fingerprint.extract, index.finalize, corpus.match, probe,
+//   probe.shard, chain.validate, report
 // Span-level names nest under them: net.survey_one (one SNI, all
 // vantages) -> net.probe (one SNI x vantage attempt loop).
 //

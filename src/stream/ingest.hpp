@@ -4,12 +4,14 @@
 // CertDataset), folding one epoch of raw events at a time:
 //
 //   fold_epoch(events):
-//     1. client.append_events(events)  — each distinct wire of the epoch
-//        parsed once (in parallel), then a sequential id-level fold
-//        appended after everything already ingested;
+//     1. client.append_events(events)  — device lookup and wire hashing
+//        in event shards, each distinct wire of the epoch parsed once (in
+//        parallel), sequential interning into id rows, then one append
+//        task per posting table, after everything already ingested;
 //     2. client.finalize()             — merges each dirty posting-list
 //        row's sorted tail and the newly interned ids into the
-//        permutations; vendor bitsets take the new fingerprints;
+//        permutations, one task per table and permutation; vendor bitsets
+//        take the new fingerprints;
 //     3. (certs) CertDataset::fold     — in place on the resident dataset:
 //        only SNIs that became eligible this epoch hit the (possibly
 //        fault-injected) network, and only records whose client posting
@@ -34,7 +36,8 @@
 //
 // Thread-compat: fold_epoch and the accessors must not race; the daemon
 // serializes them behind its own mutex. Within a fold, `jobs` workers are
-// used for the parse/probe phases exactly as in batch mode.
+// used for the lookup/parse/append/merge/probe phases exactly as in batch
+// mode.
 #pragma once
 
 #include <cstdint>

@@ -31,34 +31,50 @@ obs::Json report_table02(StreamIngest& ingest) {
   });
 }
 
+/// {"<head_key>": head, "rows": rows}: the shape of the row reports.
+obs::Json rows_document(const char* head_key, const char* head, obs::Json::Array rows) {
+  obs::Json::Object out;
+  out.reserve(2);
+  out.emplace_back(head_key, head);
+  out.emplace_back("rows", std::move(rows));
+  return obs::Json(std::move(out));
+}
+
+// Rows and documents are built by moving their members in: an
+// Object{{...}} initializer list copies every member, nested arrays too.
+
 obs::Json report_table03(StreamIngest& ingest) {
+  std::vector<core::VendorHeterogeneity> top =
+      core::vendor_heterogeneity_top(ingest.client(), 10);
   obs::Json::Array rows;
-  for (const core::VendorHeterogeneity& row :
-       core::vendor_heterogeneity_top(ingest.client(), 10)) {
-    rows.emplace_back(obs::Json::Object{
-        {"vendor", row.vendor},
-        {"fingerprints", static_cast<std::int64_t>(row.fingerprints)},
-        {"shared_by_10plus", row.shared_by_10plus},
-        {"single_device", row.single_device},
-    });
+  rows.reserve(top.size());
+  for (core::VendorHeterogeneity& row : top) {
+    obs::Json::Object out;
+    out.reserve(4);
+    out.emplace_back("vendor", std::move(row.vendor));
+    out.emplace_back("fingerprints", static_cast<std::int64_t>(row.fingerprints));
+    out.emplace_back("shared_by_10plus", row.shared_by_10plus);
+    out.emplace_back("single_device", row.single_device);
+    rows.emplace_back(std::move(out));
   }
-  return obs::Json(obs::Json::Object{{"table", "table03"},
-                                     {"rows", std::move(rows)}});
+  return rows_document("table", "table03", std::move(rows));
 }
 
 obs::Json report_table04(StreamIngest& ingest) {
+  std::vector<core::VendorSimilarity> similar =
+      core::vendor_similarities(ingest.client(), 0.2);
   obs::Json::Array rows;
-  for (const core::VendorSimilarity& sim :
-       core::vendor_similarities(ingest.client(), 0.2)) {
-    rows.emplace_back(obs::Json::Object{
-        {"vendor_a", sim.vendor_a},
-        {"vendor_b", sim.vendor_b},
-        {"jaccard", sim.jaccard},
-        {"overlap_coefficient", sim.overlap_coefficient},
-    });
+  rows.reserve(similar.size());
+  for (core::VendorSimilarity& sim : similar) {
+    obs::Json::Object out;
+    out.reserve(4);
+    out.emplace_back("vendor_a", std::move(sim.vendor_a));
+    out.emplace_back("vendor_b", std::move(sim.vendor_b));
+    out.emplace_back("jaccard", sim.jaccard);
+    out.emplace_back("overlap_coefficient", sim.overlap_coefficient);
+    rows.emplace_back(std::move(out));
   }
-  return obs::Json(obs::Json::Object{{"table", "table04"},
-                                     {"rows", std::move(rows)}});
+  return rows_document("table", "table04", std::move(rows));
 }
 
 obs::Json report_table05(StreamIngest& ingest) {
@@ -75,12 +91,13 @@ obs::Json report_table05(StreamIngest& ingest) {
     out.emplace_back("vendors", set_json(row.vendors));
     rows.emplace_back(std::move(out));
   }
-  return obs::Json(obs::Json::Object{
-      {"table", "table05"},
-      {"total_snis", static_cast<std::int64_t>(tie.total_snis)},
-      {"tied_snis", static_cast<std::int64_t>(tie.tied_snis)},
-      {"rows", std::move(rows)},
-  });
+  obs::Json::Object out;
+  out.reserve(4);
+  out.emplace_back("table", "table05");
+  out.emplace_back("total_snis", static_cast<std::int64_t>(tie.total_snis));
+  out.emplace_back("tied_snis", static_cast<std::int64_t>(tie.tied_snis));
+  out.emplace_back("rows", std::move(rows));
+  return obs::Json(std::move(out));
 }
 
 // The server-side reports below run only once the ingest has a resident
@@ -104,17 +121,19 @@ obs::Json report_certs(StreamIngest& ingest) {
   });
 }
 
-obs::Json chain_rows_json(const std::vector<core::DomainChainRow>& rows) {
+obs::Json chain_rows_json(std::vector<core::DomainChainRow>& rows) {
   obs::Json::Array out;
-  for (const core::DomainChainRow& row : rows) {
-    out.emplace_back(obs::Json::Object{
-        {"sld", row.sld},
-        {"issuer", row.leaf_issuer},
-        {"status", x509::chain_status_slug(row.status)},
-        {"fqdns", static_cast<std::int64_t>(row.fqdns)},
-        {"devices", static_cast<std::int64_t>(row.devices.size())},
-        {"vendors", set_json(row.vendors)},
-    });
+  out.reserve(rows.size());
+  for (core::DomainChainRow& row : rows) {
+    obs::Json::Object json;
+    json.reserve(6);
+    json.emplace_back("sld", std::move(row.sld));
+    json.emplace_back("issuer", std::move(row.leaf_issuer));
+    json.emplace_back("status", x509::chain_status_slug(row.status));
+    json.emplace_back("fqdns", static_cast<std::int64_t>(row.fqdns));
+    json.emplace_back("devices", static_cast<std::int64_t>(row.devices.size()));
+    json.emplace_back("vendors", set_json(row.vendors));
+    out.emplace_back(std::move(json));
   }
   return obs::Json(std::move(out));
 }
@@ -122,70 +141,78 @@ obs::Json chain_rows_json(const std::vector<core::DomainChainRow>& rows) {
 obs::Json report_chains(StreamIngest& ingest) {
   core::ChainReport chains = ingest.chains();
   obs::Json::Array expired;
-  for (const core::ExpiredRow& row : chains.expired) {
-    expired.emplace_back(obs::Json::Object{
-        {"sni", row.sni},
-        {"not_after", row.not_after},
-        {"issuer", row.issuer},
-    });
+  expired.reserve(chains.expired.size());
+  for (core::ExpiredRow& row : chains.expired) {
+    obs::Json::Object json;
+    json.reserve(3);
+    json.emplace_back("sni", std::move(row.sni));
+    json.emplace_back("not_after", row.not_after);
+    json.emplace_back("issuer", std::move(row.issuer));
+    expired.emplace_back(std::move(json));
   }
-  return obs::Json(obs::Json::Object{
-      {"report", "chains"},
-      {"validated", static_cast<std::int64_t>(chains.validated)},
-      {"trusted", static_cast<std::int64_t>(chains.trusted)},
-      {"failure_rows", chain_rows_json(chains.failure_rows)},
-      {"private_root_rows", chain_rows_json(chains.private_root_rows)},
-      {"self_signed_rows", chain_rows_json(chains.self_signed_rows)},
-      {"expired", std::move(expired)},
-      {"cn_mismatches", static_cast<std::int64_t>(chains.cn_mismatches.size())},
-      {"private_leaf_failure_ratio", chains.private_leaf_failure_ratio},
-  });
+  obs::Json::Object out;
+  out.reserve(9);
+  out.emplace_back("report", "chains");
+  out.emplace_back("validated", static_cast<std::int64_t>(chains.validated));
+  out.emplace_back("trusted", static_cast<std::int64_t>(chains.trusted));
+  out.emplace_back("failure_rows", chain_rows_json(chains.failure_rows));
+  out.emplace_back("private_root_rows", chain_rows_json(chains.private_root_rows));
+  out.emplace_back("self_signed_rows", chain_rows_json(chains.self_signed_rows));
+  out.emplace_back("expired", std::move(expired));
+  out.emplace_back("cn_mismatches",
+                   static_cast<std::int64_t>(chains.cn_mismatches.size()));
+  out.emplace_back("private_leaf_failure_ratio", chains.private_leaf_failure_ratio);
+  return obs::Json(std::move(out));
 }
 
 obs::Json report_issuers(StreamIngest& ingest) {
   core::IssuerReport issuers =
       core::issuer_report(*ingest.certs(), ingest.world().issuer_is_public);
   obs::Json::Object share;
+  share.reserve(issuers.issuer_share.size());
   for (const auto& [org, ratio] : issuers.issuer_share) {
     share.emplace_back(org, ratio);
   }
-  return obs::Json(obs::Json::Object{
-      {"report", "issuers"},
-      {"issuer_organizations",
-       static_cast<std::int64_t>(issuers.issuer_organizations)},
-      {"leaves", static_cast<std::int64_t>(issuers.leaves)},
-      {"private_leaves", static_cast<std::int64_t>(issuers.private_leaves)},
-      {"private_ratio", issuers.private_ratio},
-      {"issuer_share", std::move(share)},
-      {"public_only_vendors", set_json(issuers.public_only_vendors)},
-      {"self_signing_vendors", set_json(issuers.self_signing_vendors)},
-      {"vendor_only_vendors", set_json(issuers.vendor_only_vendors)},
-  });
+  obs::Json::Object out;
+  out.reserve(9);
+  out.emplace_back("report", "issuers");
+  out.emplace_back("issuer_organizations",
+                   static_cast<std::int64_t>(issuers.issuer_organizations));
+  out.emplace_back("leaves", static_cast<std::int64_t>(issuers.leaves));
+  out.emplace_back("private_leaves", static_cast<std::int64_t>(issuers.private_leaves));
+  out.emplace_back("private_ratio", issuers.private_ratio);
+  out.emplace_back("issuer_share", std::move(share));
+  out.emplace_back("public_only_vendors", set_json(issuers.public_only_vendors));
+  out.emplace_back("self_signing_vendors", set_json(issuers.self_signing_vendors));
+  out.emplace_back("vendor_only_vendors", set_json(issuers.vendor_only_vendors));
+  return obs::Json(std::move(out));
 }
 
 obs::Json report_ct(StreamIngest& ingest) {
   core::CtReport ct = ingest.ct();
   obs::Json::Array anomalies;
-  for (const core::CtPoint& p : ct.public_not_logged) {
-    anomalies.emplace_back(obs::Json::Object{
-        {"sni", p.sni},
-        {"vendor", p.vendor},
-        {"issuer", p.leaf_issuer},
-    });
+  anomalies.reserve(ct.public_not_logged.size());
+  for (core::CtPoint& p : ct.public_not_logged) {
+    obs::Json::Object json;
+    json.reserve(3);
+    json.emplace_back("sni", std::move(p.sni));
+    json.emplace_back("vendor", std::move(p.vendor));
+    json.emplace_back("issuer", std::move(p.leaf_issuer));
+    anomalies.emplace_back(std::move(json));
   }
-  return obs::Json(obs::Json::Object{
-      {"report", "ct"},
-      {"tuples", static_cast<std::int64_t>(ct.tuples)},
-      {"public_leaves", static_cast<std::int64_t>(ct.public_leaves)},
-      {"public_leaves_in_ct",
-       static_cast<std::int64_t>(ct.public_leaves_in_ct)},
-      {"public_not_logged", std::move(anomalies)},
-      {"private_leaves", static_cast<std::int64_t>(ct.private_leaves)},
-      {"private_leaves_in_ct",
-       static_cast<std::int64_t>(ct.private_leaves_in_ct)},
-      {"max_public_validity", ct.max_public_validity},
-      {"max_private_validity", ct.max_private_validity},
-  });
+  obs::Json::Object out;
+  out.reserve(9);
+  out.emplace_back("report", "ct");
+  out.emplace_back("tuples", static_cast<std::int64_t>(ct.tuples));
+  out.emplace_back("public_leaves", static_cast<std::int64_t>(ct.public_leaves));
+  out.emplace_back("public_leaves_in_ct", static_cast<std::int64_t>(ct.public_leaves_in_ct));
+  out.emplace_back("public_not_logged", std::move(anomalies));
+  out.emplace_back("private_leaves", static_cast<std::int64_t>(ct.private_leaves));
+  out.emplace_back("private_leaves_in_ct",
+                   static_cast<std::int64_t>(ct.private_leaves_in_ct));
+  out.emplace_back("max_public_validity", ct.max_public_validity);
+  out.emplace_back("max_private_validity", ct.max_private_validity);
+  return obs::Json(std::move(out));
 }
 
 /// Add the names of the vendors whose devices contact `sni` to `out`, for

@@ -303,7 +303,7 @@ TEST(CertIndexFoldTest, FirstServingRecordWinsAcrossFolds) {
                     const char* device, const char* vendor) {
     const std::uint32_t fp = client.intern_fp("fp", tls::Fingerprint{});
     const std::uint32_t id = client.intern_sni(sni);
-    client.record(client.intern_device(device, vendor, "Widget", "u1"), id, fp);
+    client.record({{client.intern_device(device, vendor, "Widget", "u1"), id, fp}});
     client.finalize();
     return id;
   };

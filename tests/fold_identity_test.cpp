@@ -1,11 +1,14 @@
 // Index-level fold identity: appending one event stream to a ClientDataset
 // under any epoch split, at any jobs level, with or without retained events,
 // builds the index one cold ClientDataset::from_fleet builds, field by field.
+// DatasetIndex itself is also driven directly: the same recorded ids give
+// the same index whether recorded and finalized at jobs 1 or jobs 4.
 // The reports are a projection of the index; this suite compares the index
 // itself (every interner's order, every posting list, the permutations, the
 // vendor bitsets, the drop counts), so a divergence that no report happens to
 // render still fails. Also pins device-table resolution (first row wins on a
 // repeated id, a changed table is noticed) and the parse counters.
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -46,10 +49,7 @@ void expect_same_lists(const std::vector<PostingList>& a,
   }
 }
 
-void expect_same_dataset(const ClientDataset& got, const ClientDataset& want,
-                         bool compare_events) {
-  const DatasetIndex& a = got.index();
-  const DatasetIndex& b = want.index();
+void expect_same_index(const DatasetIndex& a, const DatasetIndex& b) {
   expect_same_interner(a.vendors(), b.vendors(), "vendors");
   expect_same_interner(a.devices(), b.devices(), "devices");
   expect_same_interner(a.types(), b.types(), "types");
@@ -94,7 +94,11 @@ void expect_same_dataset(const ClientDataset& got, const ClientDataset& want,
     }
     EXPECT_EQ(x.count(), a.vendor_fps()[v].size()) << "vendor " << v;
   }
+}
 
+void expect_same_dataset(const ClientDataset& got, const ClientDataset& want,
+                         bool compare_events) {
+  expect_same_index(got.index(), want.index());
   EXPECT_EQ(got.drop_counts().unknown_device, want.drop_counts().unknown_device);
   EXPECT_EQ(got.drop_counts().no_client_hello, want.drop_counts().no_client_hello);
   EXPECT_EQ(got.drop_counts().parse_error, want.drop_counts().parse_error);
@@ -220,7 +224,7 @@ std::vector<std::size_t> random_cuts(std::size_t n, std::uint32_t seed) {
 
 void check_splits(const FleetDataset& fleet, std::uint32_t seed) {
   ClientDataset cold = ClientDataset::from_fleet(fleet);
-  for (int jobs : {1, 8}) {
+  for (int jobs : {1, 2, 3, 8}) {
     for (bool retain : {true, false}) {
       ClientDataset streamed;
       streamed.set_retain_events(retain);
@@ -255,6 +259,86 @@ TEST(FoldIdentity, AllDistinctWiresAnyEpochSplitEqualsColdBuild) {
 
 TEST(FoldIdentity, PaperFleetAnyEpochSplitEqualsColdBuild) {
   check_splits(paper_fleet(), 11);
+}
+
+/// Every posting table of `ix`, in a fixed order.
+std::vector<std::vector<PostingList>> tables(const DatasetIndex& ix) {
+  return {ix.fp_vendors(),  ix.fp_devices(),  ix.fp_snis(),
+          ix.vendor_fps(),  ix.device_fps(),  ix.sni_devices(),
+          ix.sni_vendors(), ix.sni_fps(),     ix.sni_users()};
+}
+
+TEST(FoldIdentity, IndexRecordAndFinalizeAreTheSameAtAnyJobs) {
+  DatasetIndex serial;
+  DatasetIndex parallel;
+  std::mt19937 rng(17);
+  std::uint32_t devices = 0, fps = 0, snis = 0;
+  // Draws an event over the ids interned so far plus `fresh` new ones per
+  // domain, interning the same strings in both indexes.
+  auto draw = [&](int fresh) {
+    auto pick = [&](std::uint32_t& count) {
+      std::uint32_t i = static_cast<std::uint32_t>(rng() % (count + fresh));
+      count = std::max(count, i + 1);
+      return i;
+    };
+    const std::uint32_t d = pick(devices);
+    const std::string device = "dev-" + std::to_string(d);
+    const std::string vendor = "V" + std::to_string(d % 9 + (d > 60 ? 9 : 0));
+    const std::string type = "T" + std::to_string(d % 4);
+    const std::string user = "u" + std::to_string(d % 13 + (d > 60 ? 13 : 0));
+    const std::string fp = "fp-" + std::to_string(pick(fps));
+    const std::string sni = "sni-" + std::to_string(pick(snis));
+    EventIds ev{serial.intern_device(device, vendor, type, user),
+                serial.intern_sni(sni), serial.intern_fp(fp, {})};
+    EventIds twin{parallel.intern_device(device, vendor, type, user),
+                  parallel.intern_sni(sni), parallel.intern_fp(fp, {})};
+    EXPECT_EQ(ev.device, twin.device);
+    EXPECT_EQ(ev.fp, twin.fp);
+    return ev;
+  };
+  auto fold = [&](const std::vector<EventIds>& epoch) {
+    serial.record(epoch, 1);
+    serial.finalize(1);
+    parallel.record(epoch, 4);
+    parallel.finalize(4);
+    expect_same_index(parallel, serial);
+  };
+
+  for (int e = 0; e < 6; ++e) {
+    std::vector<EventIds> epoch;
+    for (int i = 0; i < 400; ++i) epoch.push_back(draw(e < 3 ? 8 : 1));
+    fold(epoch);
+  }
+  const auto before_new = tables(serial);
+  // Brand-new device, vendor, user, SNI and fingerprint: every table gains
+  // a row, and every permutation an id.
+  EventIds fresh{serial.intern_device("dev-new", "V-new", "T-new", "u-new"),
+                 serial.intern_sni("sni-new"), serial.intern_fp("fp-new", {})};
+  parallel.intern_device("dev-new", "V-new", "T-new", "u-new");
+  parallel.intern_sni("sni-new");
+  parallel.intern_fp("fp-new", {});
+  std::vector<EventIds> dirty_all = {fresh};
+  for (int i = 0; i < 50; ++i) dirty_all.push_back(draw(0));
+  fold(dirty_all);
+  const auto after_new = tables(serial);
+  for (std::size_t t = 0; t < after_new.size(); ++t) {
+    EXPECT_NE(after_new[t], before_new[t]) << "table " << t << " not dirtied";
+  }
+  // Known ids only: the fingerprint universe does not grow, so the vendor
+  // bitsets take just the new tails.
+  std::vector<EventIds> known;
+  for (int i = 0; i < 300; ++i) known.push_back(draw(0));
+  fold(known);
+  const auto after_known = tables(serial);
+  // An epoch that dirties nothing leaves every table as it was.
+  fold({});
+  EXPECT_EQ(tables(serial), after_known);
+  for (const auto& table : after_known) {
+    for (const PostingList& row : table) {
+      EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
+      EXPECT_EQ(std::adjacent_find(row.begin(), row.end()), row.end());
+    }
+  }
 }
 
 TEST(FoldIdentity, EveryEventOfAnUndecodableWireIsDropped) {

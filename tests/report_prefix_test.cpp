@@ -167,5 +167,31 @@ TEST(RenderStage, EachRenderIsOneItemOfItsAnalysisStage) {
   }
 }
 
+TEST(FinalizeStage, EachEpochFoldIsOneItemOfIndexFinalize) {
+  const devicesim::FleetDataset fleet = small_fleet();
+  const std::size_t half = fleet.events.size() / 2;
+  const std::vector<devicesim::ClientHelloEvent> first(
+      fleet.events.begin(), fleet.events.begin() + static_cast<std::ptrdiff_t>(half));
+  const std::vector<devicesim::ClientHelloEvent> second(
+      fleet.events.begin() + static_cast<std::ptrdiff_t>(half), fleet.events.end());
+  IngestConfig config;
+  config.jobs = 4;
+  StreamIngest ingest(fleet.devices, config);
+  obs::tracer().reset();
+  auto finalize_stage = [] {
+    for (auto& [name, stats] : obs::tracer().snapshot()) {
+      if (name == "index.finalize") return stats;
+    }
+    return obs::StageStats{};
+  };
+  ingest.fold_epoch(first);
+  EXPECT_EQ(finalize_stage().calls, 1u);
+  EXPECT_EQ(finalize_stage().items, 1u);
+  ingest.fold_epoch(second);
+  EXPECT_EQ(finalize_stage().calls, 2u);
+  EXPECT_EQ(finalize_stage().items, 2u);
+  EXPECT_EQ(finalize_stage().failures, 0u);
+}
+
 }  // namespace
 }  // namespace iotls::stream
