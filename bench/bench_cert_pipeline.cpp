@@ -49,7 +49,6 @@ constexpr int kGroups = 220;        // distinct leaf certificates
 constexpr int kShare = 5;           // SNIs per leaf -> 1,100 SNIs
 constexpr int kIntermediates = 50;  // shared issuing intermediates
 constexpr int kVendors = 16;
-const std::int64_t kProbeDay = days(2022, 4, 15);
 
 /// The devices and vendors seen toward one SNI, as strings.
 struct SniMembers {

@@ -7,7 +7,10 @@
 #include "core/semantic.hpp"
 #include "core/sharing.hpp"
 #include "core/vendor_metrics.hpp"
+#include "corpus/corpus.hpp"
 #include "ct/merkle.hpp"
+#include "devicesim/fleet.hpp"
+#include "devicesim/scenario.hpp"
 #include "devicesim/stacks.hpp"
 #include "pcap/flow.hpp"
 #include "tls/fingerprint.hpp"
@@ -17,6 +20,11 @@
 using namespace iotls;
 
 namespace {
+
+const corpus::LibraryCorpus& standard_corpus() {
+  static const corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
+  return corpus;
+}
 
 tls::ClientHello sample_hello() {
   tls::ClientHello ch;
@@ -62,7 +70,7 @@ void BM_Ja3Hash(benchmark::State& state) {
 BENCHMARK(BM_Ja3Hash);
 
 void BM_CorpusMatch(benchmark::State& state) {
-  const auto& corpus = bench::Context::get().corpus;
+  const auto& corpus = standard_corpus();
   tls::Fingerprint fp = tls::fingerprint_of(sample_hello());
   for (auto _ : state) {
     benchmark::DoNotOptimize(corpus.best_match(fp));
@@ -204,7 +212,7 @@ BENCHMARK(BM_VendorJaccardStringSets)->Unit(benchmark::kMillisecond);
 
 void BM_ServerTied64x1k(benchmark::State& state) {
   const auto& ds = SyntheticContext::get().client;
-  const auto& corpus = bench::Context::get().corpus;
+  const auto& corpus = standard_corpus();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::server_tied_fingerprints(ds, corpus));
   }
@@ -213,18 +221,19 @@ BENCHMARK(BM_ServerTied64x1k)->Unit(benchmark::kMillisecond);
 
 void BM_SemanticMatch64x1k(benchmark::State& state) {
   const auto& ds = SyntheticContext::get().client;
-  const auto& corpus = bench::Context::get().corpus;
+  const auto& corpus = standard_corpus();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::semantic_match(ds, corpus, bench::kCaptureEnd));
+        core::semantic_match(ds, corpus, kCaptureEnd));
   }
 }
 BENCHMARK(BM_SemanticMatch64x1k)->Unit(benchmark::kMillisecond);
 
 void BM_FullClientAnalysis(benchmark::State& state) {
-  const auto& ctx = bench::Context::get();
+  static const devicesim::FleetDataset fleet = devicesim::generate_fleet(
+      {}, standard_corpus(), devicesim::ServerUniverse::standard());
   for (auto _ : state) {
-    auto ds = core::ClientDataset::from_fleet(ctx.fleet);
+    auto ds = core::ClientDataset::from_fleet(fleet);
     benchmark::DoNotOptimize(core::fingerprint_degree_distribution(ds));
   }
 }

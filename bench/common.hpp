@@ -1,49 +1,19 @@
-// Shared setup for the table/figure regeneration harness: build the corpus,
-// universe, fleet, parsed dataset, simulated world and certificate dataset
-// once per binary.
+// Shared inputs of the google-benchmark suites: the synthetic
+// perf-acceptance fleet and the string-set reference input of the Table 4
+// kernel.
 #pragma once
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
 
-#include "core/cert_dataset.hpp"
 #include "core/dataset.hpp"
-#include "corpus/corpus.hpp"
-#include "devicesim/fleet.hpp"
-#include "devicesim/scenario.hpp"
+#include "devicesim/types.hpp"
 #include "tls/clienthello.hpp"
 #include "tls/record.hpp"
 #include "util/dates.hpp"
 
 namespace iotls::bench {
-
-/// The paper's reference days.
-inline const std::int64_t kCaptureEnd = days(2020, 8, 1);    // "as of 2020"
-inline const std::int64_t kProbeDay = days(2022, 4, 15);     // April 2022 probes
-
-struct Context {
-  corpus::LibraryCorpus corpus;
-  devicesim::ServerUniverse universe;
-  devicesim::FleetDataset fleet;
-  core::ClientDataset client;
-  devicesim::SimWorld world;
-  core::CertDataset certs;
-
-  Context()
-      : corpus(corpus::LibraryCorpus::standard()),
-        universe(devicesim::ServerUniverse::standard()),
-        fleet(devicesim::generate_fleet({}, corpus, universe)),
-        client(core::ClientDataset::from_fleet(fleet)),
-        world(devicesim::build_world(universe)),
-        certs(core::CertDataset::collect(client, world)) {}
-
-  static const Context& get() {
-    static Context ctx;
-    return ctx;
-  }
-};
 
 /// Vendor -> fingerprint keys, built from the parsed events: the string
 /// sets the pre-index Jaccard kernel ran on, kept as its reference input.
@@ -88,12 +58,6 @@ inline devicesim::FleetDataset synthetic_fleet(int vendors = 64, int fps = 1000)
     }
   }
   return out;
-}
-
-inline void banner(const char* experiment, const char* description) {
-  std::printf("==============================================================\n");
-  std::printf("%s — %s\n", experiment, description);
-  std::printf("==============================================================\n");
 }
 
 }  // namespace iotls::bench

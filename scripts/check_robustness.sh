@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run the robustness-labelled test suites (net, parser-fuzz, resilience)
 # under AddressSanitizer + UBSan, then the golden suite (`ctest -L golden`:
-# every stream report and the byte-stable paper bench outputs against
+# every stream report and paper text entry, at jobs 1 and 8, against
 # tests/golden/) under ASan too, then the concurrency-labelled suites
 # (parallel survey determinism, pool races), the daemon-labelled streaming
 # suites and the faulted survey goldens under ThreadSanitizer — so the

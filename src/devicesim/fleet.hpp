@@ -6,6 +6,7 @@
 #include "corpus/corpus.hpp"
 #include "devicesim/scenario.hpp"
 #include "devicesim/types.hpp"
+#include "util/dates.hpp"
 
 namespace iotls::devicesim {
 
@@ -15,7 +16,7 @@ namespace iotls::devicesim {
 struct FleetConfig {
   std::uint64_t seed = 42;
   std::int64_t capture_start = 18015;  // 2019-04-29
-  std::int64_t capture_end = 18475;    // 2020-08-01
+  std::int64_t capture_end = kCaptureEnd;
   int users = 721;
 
   /// Global multipliers on per-vendor stack rates (calibration levers).

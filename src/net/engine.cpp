@@ -131,8 +131,7 @@ Exchange ProbeEngine::exchange(const std::string& sni, VantagePoint vantage,
                                AddressFamily family, BytesView flight,
                                CircuitBreaker* breaker,
                                const std::string& breaker_key,
-                               RetryBudget* budget,
-                               const std::function<void(Exchange&)>& settle) const {
+                               RetryBudget* budget) const {
   Exchange ex;
   if (breaker != nullptr && !breaker->allow(breaker_key)) {
     // Quarantined: report the gap instead of blocking on a host the survey
@@ -178,7 +177,6 @@ Exchange ProbeEngine::exchange(const std::string& sni, VantagePoint vantage,
     ex.backoff_ms += backoff;
     clock().sleep_ms(backoff);
   }
-  if (settle && ex.error == ProbeError::kNone) settle(ex);
   // Only connectivity failures feed the breaker: a fatal alert or a garbled
   // flight still proves something answered.
   if (breaker != nullptr) {

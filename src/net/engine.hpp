@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -125,13 +124,11 @@ class ProbeEngine {
   /// allow `breaker_key` first (else kSkipped, 0 attempts) and records a
   /// dns/timeout/connect outcome as a failure, a response as a success.
   /// Only timeout and connect NetErrors are retried, after a deterministic
-  /// backoff; a non-null `budget` must yield a token per retry. `settle`
-  /// sees an answer before the breaker does and may set `error`.
+  /// backoff; a non-null `budget` must yield a token per retry.
   Exchange exchange(const std::string& sni, VantagePoint vantage,
                     AddressFamily family, BytesView flight,
                     CircuitBreaker* breaker, const std::string& breaker_key,
-                    RetryBudget* budget,
-                    const std::function<void(Exchange&)>& settle = {}) const;
+                    RetryBudget* budget) const;
 
   /// Fill `results` (input order) with probe_one(sni, breaker, partial) for
   /// every entry of `snis`. One shard per distinct SNI, in first-occurrence

@@ -158,21 +158,15 @@ StackFingerprint StackFingerprinter::run_battery(
   std::string joined;
   for (std::size_t k = 0; k < battery_.size(); ++k) {
     const Bytes& flight = shared.flights[k];
+    Exchange ex = exchange(sni, vantage, family,
+                           BytesView(flight.data(), flight.size()), breaker,
+                           breaker_key, nullptr);
     ServerFlight parsed;
-    Exchange ex = exchange(
-        sni, vantage, family, BytesView(flight.data(), flight.size()), breaker,
-        breaker_key, nullptr, [&parsed](Exchange& answer) {
-          // Only the leaf is read: its fingerprint feeds the dual-stack
-          // report.
-          parsed = parse_server_flight(
-              BytesView(answer.response.data(), answer.response.size()), 1, false);
-          // A retried probe whose final flight parses but carries no
-          // ServerHello keeps the failure that made it retry.
-          if (parsed.error.empty() && !parsed.alert.has_value() &&
-              !parsed.hello.has_value()) {
-            answer.error = answer.retried;
-          }
-        });
+    if (ex.error == ProbeError::kNone) {
+      // Only the leaf is read: its fingerprint feeds the dual-stack report.
+      parsed = parse_server_flight(
+          BytesView(ex.response.data(), ex.response.size()), 1, false);
+    }
     std::string canonical = ex.error == ProbeError::kNone
                                 ? canonicalize(parsed)
                                 : "x|" + probe_error_name(ex.error);

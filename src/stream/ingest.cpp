@@ -9,6 +9,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/dates.hpp"
 
 namespace iotls::stream {
 
@@ -91,7 +92,7 @@ const core::CertDataset& require_certs(const core::CertDataset* certs,
 
 core::ChainReport StreamIngest::chains() {
   return core::validate_dataset(require_certs(certs(), "chains"), *world_,
-                                config_.validation_day, config_.jobs, &vcache_,
+                                kProbeDay, config_.jobs, &vcache_,
                                 chain_memo_);
 }
 

@@ -26,7 +26,7 @@
 //
 // Rendering is the other half of a refresh. The facts a §5 report derives
 // per record — the chain validation, the CT class and log lookup — are pure
-// functions of the record's chain, the world and the fixed validation day,
+// functions of the record's chain, the world and the paper's probe day,
 // and the Table 5 corpus match is a pure function of the fingerprint. The
 // ingest memoizes them across renders (chains(), ct(), server_ties(), keyed
 // by stable ids), filling only what a new epoch added; each render then
@@ -63,9 +63,6 @@ struct IngestConfig {
   bool certs = false;
   /// Minimum distinct users before an SNI is probed (CertDataset::collect).
   std::size_t min_users = 1;
-  /// Probe day used by the chain-validation report (2022-04-15 default,
-  /// the batch tools' probe day).
-  std::int64_t validation_day = 19097;
   /// Fault schedule applied to the probe path when spec.any().
   net::FaultSpec fault;
   /// Retain parsed events in client().events(). The streaming report path
@@ -117,8 +114,8 @@ class StreamIngest {
   /// mode and at least one folded epoch; throws std::logic_error otherwise.
   const net::StackSurvey& stacks();
 
-  /// §5.3 chain validation of the resident dataset at
-  /// config.validation_day. Each record is validated once per ingest, on
+  /// §5.3 chain validation of the resident dataset at the paper's probe
+  /// day (kProbeDay). Each record is validated once per ingest, on
   /// the first call after the fold that added it. Requires certs mode and
   /// at least one folded epoch; throws std::logic_error otherwise.
   core::ChainReport chains();

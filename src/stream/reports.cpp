@@ -1,11 +1,13 @@
 #include "stream/reports.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/device_metrics.hpp"
 #include "core/issuers.hpp"
 #include "core/vendor_metrics.hpp"
 #include "obs/trace.hpp"
+#include "stream/paper.hpp"
 
 namespace iotls::stream {
 
@@ -368,17 +370,62 @@ obs::Json report_dualstack(StreamIngest& ingest) {
 
 struct Report {
   const char* name;
-  bool needs_certs;
-  obs::Json (*render)(StreamIngest&);
+  unsigned needs;  // ReportNeeds bits
+  obs::Json (*json)(StreamIngest&);    // set for a JSON entry
+  paper::TextRenderer* text;           // set for a text entry
 };
 
-/// Every report, in serving order.
+/// Every entry: the JSON reports in serving order, then the paper's tables
+/// and figures in paper order.
 constexpr Report kReports[] = {
-    {"table02", false, report_table02}, {"table03", false, report_table03},
-    {"table04", false, report_table04}, {"table05", false, report_table05},
-    {"certs", true, report_certs},      {"chains", true, report_chains},
-    {"issuers", true, report_issuers},  {"ct", true, report_ct},
-    {"stacks", true, report_stacks},    {"dualstack", true, report_dualstack},
+    {"table02", 0, report_table02, nullptr},
+    {"table03", 0, report_table03, nullptr},
+    {"table04", 0, report_table04, nullptr},
+    {"table05", 0, report_table05, nullptr},
+    {"certs", kNeedsCerts, report_certs, nullptr},
+    {"chains", kNeedsCerts, report_chains, nullptr},
+    {"issuers", kNeedsCerts, report_issuers, nullptr},
+    {"ct", kNeedsCerts, report_ct, nullptr},
+    {"stacks", kNeedsCerts, report_stacks, nullptr},
+    {"dualstack", kNeedsCerts, report_dualstack, nullptr},
+
+    {"s41_library_match", 0, nullptr, paper::s41_library_match},
+    {"fig01_vendor_graph", 0, nullptr, paper::fig01_vendor_graph},
+    {"table02_degree", 0, nullptr, paper::table02_degree},
+    {"fig02_doc_cdf", 0, nullptr, paper::fig02_doc_cdf},
+    {"table03_heterogeneity", 0, nullptr, paper::table03_heterogeneity},
+    {"fig03_amazon", kNeedsEvents, nullptr, paper::fig03_amazon},
+    {"table04_jaccard", 0, nullptr, paper::table04_jaccard},
+    {"table05_server_fp", 0, nullptr, paper::table05_server_fp},
+    {"table06_cert_summary", kNeedsCerts, nullptr, paper::table06_cert_summary},
+    {"fig05_issuer_matrix", kNeedsCerts, nullptr, paper::fig05_issuer_matrix},
+    {"table07_invalid_chains", kNeedsCerts, nullptr, paper::table07_invalid_chains},
+    {"table08_expired", kNeedsCerts, nullptr, paper::table08_expired},
+    {"table09_netflix", kNeedsCerts, nullptr, paper::table09_netflix},
+    {"fig06_validity", kNeedsCerts, nullptr, paper::fig06_validity},
+    {"fig07_smart_tv", kNeedsCerts, nullptr, paper::fig07_smart_tv},
+    {"table10_releases", 0, nullptr, paper::table10_releases},
+    {"table11_semantic", kNeedsEvents, nullptr, paper::table11_semantic},
+    {"fig08_cs_jaccard", kNeedsEvents, nullptr, paper::fig08_cs_jaccard},
+    {"table12_versions", kNeedsEvents, nullptr, paper::table12_versions},
+    {"fig09_vuln_flows", kNeedsEvents, nullptr, paper::fig09_vuln_flows},
+    {"fig10_doc_devices", 0, nullptr, paper::fig10_doc_devices},
+    {"fig11_vuln_index", kNeedsEvents, nullptr, paper::fig11_vuln_index},
+    {"fig12_preferred", kNeedsEvents, nullptr, paper::fig12_preferred},
+    {"fig13_ct_private", kNeedsCerts, nullptr, paper::fig13_ct_private},
+    {"table14_private_chains", kNeedsCerts, nullptr, paper::table14_private_chains},
+    {"table15_slds", kNeedsCerts, nullptr, paper::table15_slds},
+    {"table16_geo", kNeedsCerts, nullptr, paper::table16_geo},
+    {"app_b_extensions", kNeedsEvents, nullptr, paper::app_b_extensions},
+    {"s62_local_pki", 0, nullptr, paper::s62_local_pki},
+    {"ablation_fpdef", kNeedsFleet, nullptr, paper::ablation_fpdef},
+    {"ablation_similarity", 0, nullptr, paper::ablation_similarity},
+    {"ablation_threshold", kNeedsCerts, nullptr, paper::ablation_threshold},
+    {"ext_acme", 0, nullptr, paper::ext_acme},
+    {"ext_ct_monitor", kNeedsCerts, nullptr, paper::ext_ct_monitor},
+    {"ext_revocation", kNeedsCerts, nullptr, paper::ext_revocation},
+    {"ext_longitudinal", kNeedsEvents, nullptr, paper::ext_longitudinal},
+    {"ext_strict_client", kNeedsCerts | kNeedsEvents, nullptr, paper::ext_strict_client},
 };
 
 const Report* find_report(const std::string& name) {
@@ -388,36 +435,71 @@ const Report* find_report(const std::string& name) {
   return nullptr;
 }
 
+/// The names of the entries with a JSON (or else text) renderer, in table
+/// order.
+std::vector<std::string> names_of(bool json) {
+  std::vector<std::string> out;
+  for (const Report& report : kReports) {
+    if ((report.json != nullptr) == json) out.emplace_back(report.name);
+  }
+  return out;
+}
+
 }  // namespace
 
 const std::vector<std::string>& report_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const Report& report : kReports) out.emplace_back(report.name);
-    return out;
-  }();
+  static const std::vector<std::string> names = names_of(true);
   return names;
 }
 
-bool report_needs_certs(const std::string& name) {
+const std::vector<std::string>& text_report_names() {
+  static const std::vector<std::string> names = names_of(false);
+  return names;
+}
+
+std::optional<unsigned> report_needs(const std::string& name) {
   const Report* report = find_report(name);
-  return report != nullptr && report->needs_certs;
+  if (report == nullptr) return std::nullopt;
+  return report->needs;
 }
 
 std::optional<obs::Json> render_report(const std::string& name,
                                        StreamIngest& ingest) {
   const Report* report = find_report(name);
-  if (report == nullptr) return std::nullopt;
+  if (report == nullptr || report->json == nullptr) return std::nullopt;
   // One item per rendered document; a refused render is a failure.
   auto span = obs::tracer().span(std::string("analysis.") + report->name);
   span.add_items();
-  if (report->needs_certs && ingest.certs() == nullptr) {
+  if ((report->needs & kNeedsCerts) != 0 && ingest.certs() == nullptr) {
     const char* error = ingest.config().certs ? "no epoch folded yet"
                                               : "daemon running without --certs";
     span.fail(error);
     return obs::Json(obs::Json::Object{{"error", error}});
   }
-  return report->render(ingest);
+  return report->json(ingest);
+}
+
+std::optional<TextReport> render_text_report(
+    const std::string& name, StreamIngest& ingest,
+    const devicesim::FleetDataset* fleet) {
+  const Report* report = find_report(name);
+  if (report == nullptr || report->text == nullptr) return std::nullopt;
+  auto span = obs::tracer().span(std::string("analysis.") + report->name);
+  span.add_items();
+  const char* missing = nullptr;
+  if ((report->needs & kNeedsCerts) != 0 && ingest.certs() == nullptr) {
+    missing = "an ingest with certs and a folded epoch";
+  } else if ((report->needs & kNeedsEvents) != 0 &&
+             !ingest.client().retain_events()) {
+    missing = "an ingest that retains events";
+  } else if ((report->needs & kNeedsFleet) != 0 && fleet == nullptr) {
+    missing = "the raw fleet";
+  }
+  if (missing != nullptr) {
+    span.fail(missing);
+    throw std::logic_error(name + " needs " + missing);
+  }
+  return report->text(ingest, fleet);
 }
 
 }  // namespace iotls::stream

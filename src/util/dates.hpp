@@ -44,4 +44,10 @@ inline std::int64_t days(int y, int m, int d) {
   return days_from_civil({y, m, d});
 }
 
+/// The paper's two reference days, as days since the epoch: the end of the
+/// IoT Inspector capture (2020-08-01; "unsupported as of 2020") and the day
+/// the §5 servers were probed (2022-04-15).
+inline constexpr std::int64_t kCaptureEnd = 18475;
+inline constexpr std::int64_t kProbeDay = 19097;
+
 }  // namespace iotls

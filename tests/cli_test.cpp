@@ -2,11 +2,14 @@
 // behind `--jobs=`, `--retries=`, `--breaker=`, `--users=` and
 // `--battery=`, `iotls_probe`'s unsigned 64-bit flags, and
 // `iotls_audit --report=NAME` rejecting an unknown name before it reads any
-// input.
+// input, and serving paper entries over a fleet exported by iotlsd.
 #include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -73,9 +76,10 @@ TEST(ParseIntFlag, RejectsValuesAnIntCastWouldWrap) {
   }
 }
 
-/// Run `cmd` with stderr folded into stdout; returns the exit status.
-int run(const std::string& cmd, std::string* out) {
-  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
+/// Run `cmd` with stderr folded into stdout (or left on the test's own
+/// stderr); returns the exit status.
+int run(const std::string& cmd, std::string* out, bool fold_stderr = true) {
+  FILE* pipe = popen((fold_stderr ? cmd + " 2>&1" : cmd).c_str(), "r");
   if (pipe == nullptr) return -1;
   char buf[4096];
   for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
@@ -95,10 +99,44 @@ TEST(AuditCli, UnknownReportFailsBeforeReadingInput) {
                    &out);
   EXPECT_EQ(status, 2) << out;
   EXPECT_NE(out.find("unknown report: bogus"), std::string::npos) << out;
-  for (const std::string& name : stream::report_names()) {
-    EXPECT_NE(out.find(" " + name), std::string::npos) << name << " not listed: " << out;
+  for (const auto* names : {&stream::report_names(), &stream::text_report_names()}) {
+    for (const std::string& name : *names) {
+      EXPECT_NE(out.find(" " + name), std::string::npos) << name << " not listed: " << out;
+    }
   }
   EXPECT_EQ(out.find("cannot open"), std::string::npos) << out;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(AuditCli, PaperEntriesOverTheExportedFleetMatchTheirGoldens) {
+  // The default fleet exported the way the paper's artifact is released,
+  // then read back by iotls_audit: a certs entry prints its golden, and a
+  // figure also writes its DOT golden into the working directory.
+  namespace fs = std::filesystem;
+  const std::string tools = IOTLS_TOOLS_DIR;
+  const fs::path golden = IOTLS_GOLDEN_DIR;
+  const fs::path dir = fs::path(IOTLS_CLI_WORK_DIR) / "paper";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string cd = "cd '" + dir.string() + "' && " + tools;
+  std::string log;
+  ASSERT_EQ(run(cd + "/iotlsd --export-fleet=paper --wire", &log), 0) << log;
+  for (const std::string name : {"table07_invalid_chains", "fig01_vendor_graph"}) {
+    std::string out;
+    EXPECT_EQ(run(cd + "/iotls_audit --report=" + name +
+                      " paper-events.csv paper-devices.csv",
+                  &out, false),
+              0);
+    EXPECT_EQ(out, read_file(golden / ("paper_" + name + ".txt"))) << name;
+  }
+  EXPECT_EQ(read_file(dir / "fig01_vendor_graph.dot"),
+            read_file(golden / "fig01_vendor_graph.dot"));
 }
 
 TEST(ToolCli, WrappingIntegerFlagsExitTwoBeforeAnyWork) {

@@ -1,15 +1,13 @@
 // Golden outputs: the paper outputs pinned byte for byte.
 //
-// Two families of goldens live in tests/golden/:
-//  * report_<name>.json — every stream::render_report document over the
-//    default generate_fleet with certs on. jobs 1 and jobs 8 are compared
-//    against the same file, so the --jobs byte-identity contract is pinned
-//    together with the content.
-//  * bench_<name>.txt — the stdout of each paper bench_* main whose output
-//    is byte-stable across runs (mains that print wall times are not
-//    pinned). The set of these files is the set of pinned mains. A file a
-//    main writes into its working directory (fig01/fig03 write DOT graphs)
-//    is compared against the golden of the same name.
+// Three families of goldens live in tests/golden/:
+//  * report_<name>.json — every stream::render_report document and
+//  * paper_<name>.txt — the text of every stream::render_text_report entry
+//    (the set of these files is the set of text entries), plus the files
+//    an entry writes (the fig01/fig03 DOT graphs) under their own names,
+//    all over the default generate_fleet with certs on, at jobs 1 and at
+//    jobs 8 against the same file: the --jobs byte-identity contract is
+//    pinned together with the content.
 //  * survey_<name>.txt — the §5 certificate survey and the dual-stack
 //    battery over the default world's SNIs (plus duplicates and a dead
 //    host) under one fixed fault spec with retries: the full survey dump,
@@ -17,16 +15,17 @@
 //    clock reading. Where jobs 8 is checked it is compared against the
 //    jobs 1 file.
 //
-// Each bench main runs in its own directory under the build tree, so no run
-// rewrites a tracked file. On a mismatch the actual bytes are written next
-// to the run as <golden>.actual; a golden may only be replaced by one of
-// those, with the reason stated in CHANGES.md.
-#include <algorithm>
+// On a mismatch the actual bytes are written to the build tree as
+// <golden>.actual; a golden may only be replaced by one of those, with the
+// reason stated in CHANGES.md.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,7 +49,6 @@ namespace {
 namespace fs = std::filesystem;
 
 const fs::path kGoldenDir = IOTLS_GOLDEN_DIR;
-const fs::path kBenchDir = IOTLS_BENCH_DIR;
 const fs::path kWorkDir = IOTLS_GOLDEN_WORK_DIR;
 
 std::string read_file(const fs::path& path) {
@@ -75,17 +73,33 @@ void expect_golden(const std::string& name, const std::string& actual) {
 
 // ------------------------------------------------------------- reports
 
-void check_reports(int jobs) {
-  devicesim::FleetDataset fleet =
+const devicesim::FleetDataset& default_fleet() {
+  static const devicesim::FleetDataset fleet =
       devicesim::generate_fleet({}, corpus::LibraryCorpus::standard(),
                                 devicesim::ServerUniverse::standard());
-  stream::IngestConfig config;
-  config.jobs = jobs;
-  config.certs = true;
-  stream::StreamIngest ingest(fleet.devices, config);
-  ingest.fold_epoch(fleet.events);
+  return fleet;
+}
+
+/// The default fleet folded in one epoch at `jobs`, certs on and events
+/// retained: every input any entry reads. Built once per jobs level and
+/// never destroyed: an ingest's teardown reports to the metric registry,
+/// which static destruction may already have torn down.
+stream::StreamIngest& default_ingest(int jobs) {
+  static auto* ingests = new std::map<int, std::unique_ptr<stream::StreamIngest>>;
+  std::unique_ptr<stream::StreamIngest>& ingest = (*ingests)[jobs];
+  if (ingest == nullptr) {
+    stream::IngestConfig config;
+    config.jobs = jobs;
+    config.certs = true;
+    ingest = std::make_unique<stream::StreamIngest>(default_fleet().devices, config);
+    ingest->fold_epoch(default_fleet().events);
+  }
+  return *ingest;
+}
+
+void check_reports(int jobs) {
   for (const std::string& name : stream::report_names()) {
-    auto doc = stream::render_report(name, ingest);
+    auto doc = stream::render_report(name, default_ingest(jobs));
     ASSERT_TRUE(doc.has_value()) << name;
     expect_golden("report_" + name + ".json", doc->dump() + "\n");
   }
@@ -229,50 +243,77 @@ TEST(GoldenSurveys, BatteryUnderFaultsJobs8) {
   expect_golden("survey_battery.txt", battery_survey(8));
 }
 
-// --------------------------------------------------------- bench mains
+// ------------------------------------------------------- paper entries
 
-/// The pinned mains: one per tests/golden/bench_*.txt, in name order.
-std::vector<std::string> pinned_mains() {
-  std::vector<std::string> out;
+/// Compare a text entry's output and the files it writes with its goldens.
+void expect_text_golden(const std::string& name, const stream::TextReport& out) {
+  expect_golden("paper_" + name + ".txt", out.text);
+  for (const auto& [file, contents] : out.files) expect_golden(file, contents);
+}
+
+TEST(GoldenPaper, EveryTextEntryHasOneGolden) {
+  std::set<std::string> goldens;
   for (const fs::directory_entry& entry : fs::directory_iterator(kGoldenDir)) {
-    const std::string file = entry.path().filename().string();
-    if (file.rfind("bench_", 0) == 0 && entry.path().extension() == ".txt") {
-      out.push_back(entry.path().stem().string());
+    const std::string stem = entry.path().stem().string();
+    if (stem.rfind("paper_", 0) == 0 && entry.path().extension() == ".txt") {
+      goldens.insert(stem.substr(6));
     }
   }
-  std::sort(out.begin(), out.end());
+  const std::vector<std::string>& names = stream::text_report_names();
+  EXPECT_EQ(goldens, std::set<std::string>(names.begin(), names.end()));
+}
+
+/// An entry that does not declare kNeedsEvents (or kNeedsFleet) renders
+/// the same bytes without them: the declarations are what iotls_audit
+/// builds its ingest from.
+TEST(GoldenPaper, DeclaredInputsSuffice) {
+  stream::IngestConfig config;
+  config.certs = true;
+  config.retain_events = false;
+  stream::StreamIngest lean(default_fleet().devices, config);
+  lean.fold_epoch(default_fleet().events);
+  for (const std::string& name : stream::text_report_names()) {
+    const unsigned needs = *stream::report_needs(name);
+    if ((needs & stream::kNeedsEvents) != 0) {
+      EXPECT_THROW(stream::render_text_report(name, lean, &default_fleet()),
+                   std::logic_error)
+          << name;
+      continue;
+    }
+    const devicesim::FleetDataset* fleet =
+        (needs & stream::kNeedsFleet) != 0 ? &default_fleet() : nullptr;
+    expect_text_golden(name, *stream::render_text_report(name, lean, fleet));
+  }
+}
+
+TEST(GoldenPaper, EveryEntryJobs8) {
+  for (const std::string& name : stream::text_report_names()) {
+    expect_text_golden(
+        name, *stream::render_text_report(name, default_ingest(8), &default_fleet()));
+  }
+}
+
+// One jobs-1 test per text entry. The ids keep the names of the per-table
+// `bench_<name>` executables the entries replaced, so each table's test
+// history carries across.
+class GoldenBench : public testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenBench, OutputsMatch) {
+  const std::string name = GetParam().substr(6);  // without "bench_"
+  auto out = stream::render_text_report(name, default_ingest(1), &default_fleet());
+  ASSERT_TRUE(out.has_value()) << name;
+  expect_text_golden(name, *out);
+}
+
+std::vector<std::string> bench_ids() {
+  std::vector<std::string> out;
+  for (const std::string& name : stream::text_report_names()) {
+    out.push_back("bench_" + name);
+  }
   return out;
 }
 
-class GoldenBench : public testing::TestWithParam<std::string> {};
-
-/// Run the main in an empty directory of its own: its stdout must match
-/// <main>.txt, and every file it writes there must match the golden of the
-/// same name.
-TEST_P(GoldenBench, OutputsMatch) {
-  const std::string& main = GetParam();
-  const fs::path dir = kWorkDir / main;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  const std::string cmd =
-      "cd '" + dir.string() + "' && '" + (kBenchDir / main).string() + "'";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr) << cmd;
-  std::string out;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
-    out.append(buf, n);
-  }
-  ASSERT_EQ(pclose(pipe), 0) << cmd;
-
-  expect_golden(main + ".txt", out);
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    expect_golden(entry.path().filename().string(), read_file(entry.path()));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Paper, GoldenBench, testing::ValuesIn(pinned_mains()),
+INSTANTIATE_TEST_SUITE_P(Paper, GoldenBench, testing::ValuesIn(bench_ids()),
                          [](const testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

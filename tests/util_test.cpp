@@ -298,6 +298,8 @@ TEST(Dates, KnownDates) {
   EXPECT_EQ(days(2019, 4, 29), 18015);   // IoT Inspector capture start
   EXPECT_EQ(days(2020, 8, 1), 18475);    // capture end
   EXPECT_EQ(format_date(days(2022, 4, 15)), "2022-04-15");
+  EXPECT_EQ(format_date(kCaptureEnd), "2020-08-01");
+  EXPECT_EQ(format_date(kProbeDay), "2022-04-15");
 }
 
 TEST(Dates, RoundTripAcrossRange) {

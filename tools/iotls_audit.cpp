@@ -7,11 +7,14 @@
 //               [--report=NAME]
 //   iotls_audit --export-snapshot=OUT [--jobs=N] events.csv devices.csv
 //
-// `--report=NAME` prints one stream report document (see
-// src/stream/reports.hpp for names) as a single JSON line on stdout and
-// exits — computed through the same single-epoch streaming fold iotlsd
-// uses, so the output is byte-comparable against the daemon's
-// /report/NAME body after any epoch split of the same events.
+// `--report=NAME` renders one entry of the report registry (see
+// src/stream/reports.hpp for names) and exits, computed through the same
+// single-epoch streaming fold iotlsd uses. A JSON entry prints one JSON
+// line, byte-comparable against the daemon's /report/NAME body after any
+// epoch split of the same events. A text entry (a paper table or figure)
+// prints its text and writes its side files, such as fig01's DOT graph,
+// into the working directory. The ingest holds what the entry declares it
+// needs: the §5 dataset, retained events, or the raw fleet.
 //
 // `--snapshot=FILE` reads a columnar .iotlsnap container (docs/SNAPSHOT.md)
 // instead of the CSVs. With `--report=`, events stream through the fold in
@@ -50,7 +53,6 @@
 // (/metrics, /stats, /healthz, /readyz, /trace) during the run (with
 // `--serve-linger[=MS]` it stays up afterwards); `--trace-out=FILE` writes
 // the run's nested spans as Chrome trace-event JSON for Perfetto.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -155,12 +157,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
-  if (!report_name.empty() &&
-      std::find(stream::report_names().begin(), stream::report_names().end(),
-                report_name) == stream::report_names().end()) {
+  const std::optional<unsigned> needs =
+      report_name.empty() ? 0u : stream::report_needs(report_name);
+  if (!needs.has_value()) {
     std::fprintf(stderr, "unknown report: %s (known:", report_name.c_str());
-    for (const std::string& name : stream::report_names()) {
-      std::fprintf(stderr, " %s", name.c_str());
+    for (const auto* names : {&stream::report_names(), &stream::text_report_names()}) {
+      for (const std::string& name : *names) std::fprintf(stderr, " %s", name.c_str());
     }
     std::fprintf(stderr, ")\n");
     return 2;
@@ -202,17 +204,35 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Flush the output, then the stats (on stderr) and the export plane.
+  auto finish = [&] {
+    std::fflush(stdout);
+    if (stats == StatsMode::kText) {
+      std::fprintf(stderr, "\n%s",
+                   report::stats_text(obs::metrics(), obs::tracer()).c_str());
+    } else if (stats == StatsMode::kJson) {
+      std::fprintf(stderr, "%s\n",
+                   report::stats_json(obs::metrics(), obs::tracer()).c_str());
+    }
+    obs_cli.finish();
+    return 0;
+  };
+
   if (!report_name.empty()) {
     // Batch mode as the degenerate streaming case: one epoch holding the
-    // whole event stream, rendered by the exact code iotlsd serves. Every
-    // stream report is index/CertDataset-backed, so parsed rows need not
-    // be retained — with a snapshot input the events stream through in
-    // chunks and resident memory stays O(distinct fingerprints).
+    // whole event stream, rendered by the exact code iotlsd serves. Unless
+    // the entry reads them, parsed rows are not retained — with a snapshot
+    // input the events stream through in chunks and resident memory stays
+    // O(distinct fingerprints).
     stream::IngestConfig config;
     config.jobs = jobs;
-    config.certs = certs_mode || stream::report_needs_certs(report_name);
+    config.certs = certs_mode || (*needs & stream::kNeedsCerts) != 0;
     config.fault = fault;
-    config.retain_events = false;
+    config.retain_events = (*needs & stream::kNeedsEvents) != 0;
+    if ((*needs & stream::kNeedsFleet) != 0 && snap.has_value()) {
+      fleet = snap->load(jobs);
+      snap.reset();
+    }
     std::unique_ptr<stream::StreamIngest> ingest;
     if (snap.has_value()) {
       ingest = std::make_unique<stream::StreamIngest>(snap->devices(), config);
@@ -229,18 +249,20 @@ int main(int argc, char** argv) {
       ingest = std::make_unique<stream::StreamIngest>(fleet.devices, config);
       ingest->fold_epoch(fleet.events);
     }
-    std::printf("%s\n",
-                stream::render_report(report_name, *ingest)->dump().c_str());
-    std::fflush(stdout);
-    if (stats == StatsMode::kText) {
-      std::fprintf(stderr, "\n%s",
-                   report::stats_text(obs::metrics(), obs::tracer()).c_str());
-    } else if (stats == StatsMode::kJson) {
-      std::fprintf(stderr, "%s\n",
-                   report::stats_json(obs::metrics(), obs::tracer()).c_str());
+    if (auto doc = stream::render_report(report_name, *ingest)) {
+      std::printf("%s\n", doc->dump().c_str());
+    } else {
+      stream::TextReport out =
+          *stream::render_text_report(report_name, *ingest, &fleet);
+      std::fwrite(out.text.data(), 1, out.text.size(), stdout);
+      for (const auto& [file, contents] : out.files) {
+        if (!(std::ofstream(file, std::ios::binary) << contents)) {
+          std::fprintf(stderr, "cannot write %s\n", file.c_str());
+          return 1;
+        }
+      }
     }
-    obs_cli.finish();
-    return 0;
+    return finish();
   }
 
   if (fault.any()) {
@@ -288,7 +310,7 @@ int main(int argc, char** argv) {
               vuln.severe_fps, vuln.severe_devices, vuln.severe_vendors);
 
   auto corpus = corpus::LibraryCorpus::standard();
-  auto match = core::match_against_corpus(ds, corpus, days(2020, 8, 1), jobs);
+  auto match = core::match_against_corpus(ds, corpus, kCaptureEnd, jobs);
   std::printf("known-library matches: %zu fingerprints (%s), "
               "%zu libraries (%zu unsupported)\n",
               match.matches.size(), fmt_percent(match.match_ratio()).c_str(),
@@ -304,7 +326,7 @@ int main(int argc, char** argv) {
                 certs.extracted_snis(), certs.reachable_snis(),
                 certs.leaves().size(), certs.issuer_organizations().size());
 
-    auto chains = core::validate_dataset(certs, world, days(2022, 4, 15), jobs,
+    auto chains = core::validate_dataset(certs, world, kProbeDay, jobs,
                                          &vcache);
     std::printf("chain validation: %zu validated, %zu trusted, "
                 "%zu failure rows (%zu private-root, %zu self-signed), "
@@ -329,14 +351,5 @@ int main(int argc, char** argv) {
                 ct.private_leaves_in_ct);
   }
 
-  if (stats == StatsMode::kText) {
-    std::fprintf(stderr, "\n%s",
-                 report::stats_text(obs::metrics(), obs::tracer()).c_str());
-  } else if (stats == StatsMode::kJson) {
-    std::fprintf(stderr, "%s\n",
-                 report::stats_json(obs::metrics(), obs::tracer()).c_str());
-  }
-  std::fflush(stdout);
-  obs_cli.finish();
-  return 0;
+  return finish();
 }

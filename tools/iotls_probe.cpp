@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
                                                     &clock);
     internet = injector.get();
   }
-  const std::int64_t today = days(2022, 4, 15);
+  const std::int64_t today = kProbeDay;
   const bool quiet = stats == StatsMode::kJson;  // stdout carries JSON only
 
   if (all) {
