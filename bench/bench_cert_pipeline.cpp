@@ -285,6 +285,17 @@ RefChainReport ref_validate_dataset(const core::CertDataset& certs,
   return report;
 }
 
+/// Leaf fingerprint -> issuer organization of the first record serving it.
+std::map<std::string, std::string> ref_leaf_issuers(const core::CertDataset& certs) {
+  std::map<std::string, std::string> out;
+  for (const core::SniRecord& record : certs.records()) {
+    if (!record.reachable || record.chain.empty()) continue;
+    const x509::Certificate& leaf = record.chain.front();
+    out.emplace(leaf.fingerprint(), leaf.issuer.organization);
+  }
+  return out;
+}
+
 std::map<std::string, std::map<std::string, std::size_t>>
 ref_vendor_issuer_counts(const core::CertDataset& certs, const Members& members) {
   std::map<std::string, std::map<std::string, std::set<std::string>>>
@@ -310,9 +321,7 @@ core::IssuerMatrix ref_issuer_matrix(
   core::IssuerMatrix matrix;
   auto counts = ref_vendor_issuer_counts(certs, members);
   std::map<std::string, std::size_t> issuer_totals;
-  for (const auto& [fp, leaf] : certs.leaves()) {
-    ++issuer_totals[leaf.cert.issuer.organization];
-  }
+  for (const auto& [fp, org] : ref_leaf_issuers(certs)) ++issuer_totals[org];
   std::map<std::string, double> vendor_public_share;
   for (const auto& [vendor, issuers] : counts) {
     std::size_t total = 0;
@@ -349,10 +358,10 @@ core::IssuerReport ref_issuer_report(
     const core::CertDataset& certs, const Members& members,
     const std::map<std::string, bool>& issuer_is_public) {
   core::IssuerReport report;
-  report.leaves = certs.leaves().size();
+  const std::map<std::string, std::string> leaf_issuers = ref_leaf_issuers(certs);
+  report.leaves = leaf_issuers.size();
   std::map<std::string, std::size_t> per_issuer;
-  for (const auto& [fp, leaf] : certs.leaves()) {
-    const std::string& org = leaf.cert.issuer.organization;
+  for (const auto& [fp, org] : leaf_issuers) {
     ++per_issuer[org];
     if (!ref_is_public(issuer_is_public, org)) ++report.private_leaves;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <set>
 #include <stdexcept>
 
 #include "exec/pool.hpp"
@@ -16,8 +17,8 @@ namespace {
 
 /// One freshly probed SNI out of the parallel stage: the record itself plus
 /// the two values the sequential fold needs (the leaf fingerprint, hashed
-/// once here and reused for dedup and the index memo, and the failure
-/// reason for span bookkeeping).
+/// once here, which is the leaf's key in the index, and the failure reason
+/// for span bookkeeping).
 struct ProbedSni {
   SniRecord record;
   std::string leaf_fp;
@@ -144,8 +145,8 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
     FoldedSni& f = folded_[s];
     gained(f.devices, row(cx.sni_devices(), s), devices);
     gained(f.vendors, row(cx.sni_vendors(), s), vendors);
-    index_.add_membership(static_cast<std::size_t>(pos - records_.begin()),
-                          *pos, cx, devices, vendors);
+    index_.add_membership(static_cast<std::size_t>(pos - records_.begin()), cx,
+                          devices, vendors);
     f.devices = row(cx.sni_devices(), s);
     f.vendors = row(cx.sni_vendors(), s);
   }
@@ -161,12 +162,6 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
       span.fail(p.fail_reason);
     } else {
       ++reachable_;
-      if (!p.record.chain.empty()) {
-        LeafRecord& leaf = leaves_[p.leaf_fp];
-        if (leaf.servers.empty()) leaf.cert = p.record.chain.front();
-        leaf.servers.insert(p.record.sni);
-        for (const std::string& ip : p.record.server_ips) leaf.ips.insert(ip);
-      }
     }
     const std::uint32_t s = fresh[i];
     index_.record(p.record, p.leaf_fp, cx, s);
@@ -195,22 +190,17 @@ CertDataset::FoldStats CertDataset::fold(const ClientDataset& client,
   return {fresh.size(), dirty.size()};
 }
 
-std::set<std::string> CertDataset::issuer_organizations() const {
-  std::set<std::string> out;
-  for (const auto& [fp, leaf] : leaves_) out.insert(leaf.cert.issuer.organization);
-  return out;
-}
-
 std::vector<SldPopularity> CertDataset::popular_slds(std::size_t n) const {
   std::map<std::string, SldPopularity> by_sld;
   std::map<std::string, std::set<std::uint32_t>> sld_devices;
-  for (const SniRecord& record : records_) {
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const SniRecord& record = records_[i];
     if (!record.reachable) continue;
     std::string sld = second_level_domain(record.sni);
     SldPopularity& row = by_sld[sld];
     row.sld = sld;
     ++row.servers;
-    const PostingList& devices = index_.sni_devices()[index_.snis().find(record.sni)];
+    const PostingList& devices = index_.sni_devices()[index_.record_sni()[i]];
     sld_devices[sld].insert(devices.begin(), devices.end());
   }
   std::vector<SldPopularity> rows;
@@ -235,26 +225,28 @@ std::size_t CertDataset::distinct_slds() const {
 
 CertDataset::SharingStats CertDataset::sharing_stats() const {
   SharingStats stats;
-  if (leaves_.empty()) return stats;
+  const std::vector<PostingList>& servers = index_.leaf_servers();
+  if (servers.empty()) return stats;
   std::size_t total_servers = 0;
   std::size_t multi_ip_total = 0;
-  for (const auto& [fp, leaf] : leaves_) {
-    total_servers += leaf.servers.size();
-    stats.max_servers_per_cert = std::max(stats.max_servers_per_cert, leaf.servers.size());
-    if (leaf.ips.size() > 1) {
+  for (std::size_t leaf = 0; leaf < servers.size(); ++leaf) {
+    total_servers += servers[leaf].size();
+    stats.max_servers_per_cert = std::max(stats.max_servers_per_cert, servers[leaf].size());
+    const std::size_t ips = index_.leaf_ips()[leaf].size();
+    if (ips > 1) {
       ++stats.certs_on_multiple_ips;
-      multi_ip_total += leaf.ips.size();
-      stats.max_ips_per_cert = std::max(stats.max_ips_per_cert, leaf.ips.size());
+      multi_ip_total += ips;
+      stats.max_ips_per_cert = std::max(stats.max_ips_per_cert, ips);
     }
   }
   stats.mean_servers_per_cert =
-      static_cast<double>(total_servers) / static_cast<double>(leaves_.size());
+      static_cast<double>(total_servers) / static_cast<double>(servers.size());
   if (stats.certs_on_multiple_ips > 0) {
     stats.mean_ips_per_cert = static_cast<double>(multi_ip_total) /
                               static_cast<double>(stats.certs_on_multiple_ips);
   }
   stats.multi_ip_ratio = static_cast<double>(stats.certs_on_multiple_ips) /
-                         static_cast<double>(leaves_.size());
+                         static_cast<double>(servers.size());
   return stats;
 }
 

@@ -4,7 +4,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -34,13 +33,6 @@ struct SniRecord {
   std::vector<std::string> server_ips;
   bool stapled = false;        // server answered status_request with a staple
   bool staple_valid = false;   // ...that verified against the responder key
-};
-
-/// A deduplicated leaf certificate with the servers presenting it.
-struct LeafRecord {
-  x509::Certificate cert;
-  std::set<std::string> servers;  // FQDNs presenting this leaf (New York)
-  std::set<std::string> ips;
 };
 
 /// Table 15 row.
@@ -107,7 +99,8 @@ class CertDataset {
                  const net::Internet* internet = nullptr);
 
   const std::vector<SniRecord>& records() const { return records_; }
-  const std::map<std::string, LeafRecord>& leaves() const { return leaves_; }
+  /// One row per leaf (a fps() id of the index): the SNI ids serving it.
+  const std::vector<PostingList>& leaves() const { return index_.leaf_servers(); }
 
   /// The interned-id cross-index kept alongside the records (dense ids,
   /// posting lists, per-leaf fingerprint memo) — what the §5.2–§5.4
@@ -116,9 +109,6 @@ class CertDataset {
 
   std::size_t extracted_snis() const { return extracted_; }
   std::size_t reachable_snis() const { return reachable_; }
-
-  /// Distinct leaf issuer organizations (Table 6 "#issuer organizations").
-  std::set<std::string> issuer_organizations() const;
 
   /// Table 15: most popular SLDs by contacting devices (top `n`).
   std::vector<SldPopularity> popular_slds(std::size_t n) const;
@@ -149,7 +139,6 @@ class CertDataset {
   };
 
   std::vector<SniRecord> records_;
-  std::map<std::string, LeafRecord> leaves_;  // leaf fingerprint -> record
   CertIndex index_;
   std::size_t extracted_ = 0;
   std::size_t reachable_ = 0;

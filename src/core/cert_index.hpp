@@ -6,15 +6,17 @@
 // vendors/issuers through string-keyed maps. The index gives the analyses
 // dense uint32 ids with sorted posting lists instead:
 //
-//  * leaves are deduplicated by SPKI+serial — each distinct certificate is
-//    fingerprinted and classified once, not once per serving SNI;
-//  * sni↔device/vendor/ip and vendor↔leaf/issuer↔leaf relations are sorted
-//    posting lists over interned ids. sni_devices/sni_vendors/vendor_leaves
-//    are the only cert-side store of which devices and vendors contact an
-//    SNI: the members come straight from the client DatasetIndex rows, and
-//    no record or report keeps a string copy of them;
-//  * the hex SHA-256 fingerprint of each distinct leaf is memoized, so no
-//    analysis downstream of collect() ever re-hashes a certificate.
+//  * a leaf is a distinct SHA-256 fingerprint, and a leaf id is that
+//    fingerprint's id in fps(): each distinct certificate is hashed and
+//    classified once, not once per serving SNI. The hex fingerprint is
+//    hashed at collect time, so no analysis downstream ever re-hashes a
+//    certificate;
+//  * sni↔device/vendor/ip and leaf↔server/ip, vendor↔leaf relations are
+//    sorted posting lists over interned ids. sni_devices/sni_vendors/
+//    vendor_leaves are the only cert-side store of which devices and
+//    vendors contact an SNI: the members come straight from the client
+//    DatasetIndex rows, and no record or report keeps a string copy of
+//    them.
 //
 // The index is append-only, folded alongside CertDataset::fold: a fold
 // interns its new records (in lexicographic SNI order) and the membership
@@ -22,9 +24,9 @@
 // order, and sort-merges only the posting rows that gained postings. One
 // fold over an empty index (batch) assigns ids in record order, so ids and
 // posting lists are bit-identical at every --jobs level. After a split fold
-// the ids may be a renaming of a batch fold's; the content (every relation
-// with ids resolved to strings) is the same, and no analysis depends on id
-// order.
+// the ids (leaf ids included) may be a renaming of a batch fold's; the
+// content (every relation with ids resolved to strings) is the same, and no
+// analysis depends on id order.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,6 @@
 
 #include "core/index.hpp"
 #include "core/interner.hpp"
-#include "x509/certificate.hpp"
 
 namespace iotls::core {
 
@@ -48,33 +49,14 @@ class CertIndex {
   const Interner& devices() const { return devices_; }
   const Interner& vendors() const { return vendors_; }
   const Interner& ips() const { return ips_; }
-  /// Leaf issuer organizations (Fig. 5 y-axis domain).
+  /// Leaf issuer organizations (Fig. 5 y-axis domain): the issuers of the
+  /// leaves in fps().
   const Interner& issuers() const { return issuers_; }
-  /// Subject key ids (the SPKI-hash domain of the leaf identity).
-  const Interner& spkis() const { return spkis_; }
-  /// Distinct leaf SHA-256 fingerprints (hex), memoized at collect time.
+  /// Distinct leaf SHA-256 fingerprints (hex): the leaf domain.
   const Interner& fps() const { return fps_; }
 
-  /// Number of distinct leaves (deduplicated by SPKI+serial).
-  std::uint32_t leaf_count() const {
-    return static_cast<std::uint32_t>(leaf_certs_.size());
-  }
-  /// The certificate of a leaf id: the instance served by the
-  /// lexicographically first SNI presenting this SPKI+serial.
-  const x509::Certificate& leaf_cert(std::uint32_t leaf) const {
-    return leaf_certs_[leaf];
-  }
-  /// Memoized hex fingerprint of a leaf id.
-  const std::string& leaf_fingerprint(std::uint32_t leaf) const {
-    return fps_.str(leaf_fp_[leaf]);
-  }
-  std::uint32_t leaf_fp(std::uint32_t leaf) const { return leaf_fp_[leaf]; }
-  std::uint32_t leaf_issuer(std::uint32_t leaf) const { return leaf_issuer_[leaf]; }
-  std::uint32_t leaf_spki(std::uint32_t leaf) const { return leaf_spki_[leaf]; }
-
-  /// Issuer organization id of a fingerprint id. A fingerprint hashes the
-  /// full encoding, so every record serving it agrees on the issuer — the
-  /// seed's fingerprint-keyed leaf map's "first insertion wins".
+  /// Issuer organization id of a leaf. A fingerprint hashes the full
+  /// encoding, so every record serving it agrees on the issuer.
   std::uint32_t fp_issuer(std::uint32_t fp) const { return fp_issuer_[fp]; }
   std::int64_t fp_validity_days(std::uint32_t fp) const {
     return fp_validity_days_[fp];
@@ -85,18 +67,15 @@ class CertIndex {
   /// memos (ChainMemo, CtMemo) key on this id.
   const std::vector<std::uint32_t>& record_sni() const { return record_sni_; }
   /// Record position -> leaf id (kNone when unreachable or empty chain).
-  const std::vector<std::uint32_t>& record_leaf() const { return record_leaf_; }
-  /// Record position -> fingerprint id (kNone when no leaf).
   const std::vector<std::uint32_t>& record_fp() const { return record_fp_; }
 
-  // Posting lists, indexed by the row domain's id; sorted-unique after
-  // finalize().
+  // Posting lists, indexed by the row domain's id (leaf rows and members
+  // are fps() ids); sorted-unique after finalize().
   const std::vector<PostingList>& sni_devices() const { return sni_devices_; }
   const std::vector<PostingList>& sni_vendors() const { return sni_vendors_; }
   const std::vector<PostingList>& leaf_servers() const { return leaf_servers_; }
   const std::vector<PostingList>& leaf_ips() const { return leaf_ips_; }
   const std::vector<PostingList>& vendor_leaves() const { return vendor_leaves_; }
-  const std::vector<PostingList>& issuer_leaves() const { return issuer_leaves_; }
 
   void reserve(std::size_t expected_records);
 
@@ -110,9 +89,8 @@ class CertIndex {
 
   /// Fold the members an already-placed record gained: `pos` is its record
   /// position, `devices`/`vendors` the client ids it newly gained.
-  void add_membership(std::size_t pos, const SniRecord& rec,
-                      const DatasetIndex& client, const PostingList& devices,
-                      const PostingList& vendors);
+  void add_membership(std::size_t pos, const DatasetIndex& client,
+                      const PostingList& devices, const PostingList& vendors);
 
   /// Close a fold: place the records given to record() since the last
   /// finalize at their record positions `at` (ascending, one per record in
@@ -121,35 +99,20 @@ class CertIndex {
   void finalize(const std::vector<std::size_t>& at);
 
  private:
-  /// A leaf whose first serving record changed to one with another issuer
-  /// organization: finalize() drops it from its old issuer's row.
-  struct IssuerMove {
-    std::uint32_t leaf, from;
-  };
+  Interner snis_, devices_, vendors_, ips_, issuers_, fps_;
 
-  Interner snis_, devices_, vendors_, ips_, issuers_, spkis_, fps_;
-
-  // Per-leaf columns (leaf = distinct SPKI+serial identity), taken from the
-  // lexicographically first serving record (`leaf_owner_`, an SNI id).
-  Interner leaf_ids_;  // "spki \x1f serial" -> dense leaf id
-  std::vector<x509::Certificate> leaf_certs_;
-  std::vector<std::uint32_t> leaf_fp_, leaf_issuer_, leaf_spki_, leaf_owner_;
-  std::vector<IssuerMove> issuer_moves_;
-
-  // Per-fingerprint columns.
+  // Per-leaf columns, from the first record serving the fingerprint.
   std::vector<std::uint32_t> fp_issuer_;
   std::vector<std::int64_t> fp_validity_days_;
 
-  std::vector<std::uint32_t> record_sni_, record_leaf_, record_fp_;
+  std::vector<std::uint32_t> record_sni_, record_fp_;
   // This fold's records, in record() order.
-  std::vector<std::uint32_t> pending_sni_, pending_leaf_, pending_fp_;
+  std::vector<std::uint32_t> pending_sni_, pending_fp_;
 
   std::vector<PostingList> sni_devices_, sni_vendors_;
-  std::vector<PostingList> leaf_servers_, leaf_ips_;
-  std::vector<PostingList> vendor_leaves_, issuer_leaves_;
+  std::vector<PostingList> leaf_servers_, leaf_ips_, vendor_leaves_;
   DirtyRows dirty_sni_devices_, dirty_sni_vendors_;
-  DirtyRows dirty_leaf_servers_, dirty_leaf_ips_;
-  DirtyRows dirty_vendor_leaves_, dirty_issuer_leaves_;
+  DirtyRows dirty_leaf_servers_, dirty_leaf_ips_, dirty_vendor_leaves_;
 };
 
 }  // namespace iotls::core

@@ -32,9 +32,8 @@ namespace {
 /// visit: vendor -> issuer org -> #distinct leaves.
 ///
 /// Index-backed: walks the vendor→leaf posting lists instead of rescanning
-/// every record and re-hashing every leaf. Distinctness is still counted
-/// over fingerprints (the seed's set<fingerprint> semantics), via the
-/// memoized per-leaf fingerprint ids.
+/// every record and re-hashing every leaf. A leaf id is a fingerprint id
+/// and each row is sorted-unique, so every member is one distinct leaf.
 std::map<std::string, std::map<std::string, std::size_t>> vendor_issuer_counts(
     const CertDataset& certs) {
   const CertIndex& ix = certs.index();
@@ -42,14 +41,8 @@ std::map<std::string, std::map<std::string, std::size_t>> vendor_issuer_counts(
   for (std::uint32_t v = 0; v < ix.vendors().size(); ++v) {
     const PostingList& leaves = ix.vendor_leaves()[v];
     if (leaves.empty()) continue;  // vendor met no served certificate
-    std::map<std::uint32_t, std::set<std::uint32_t>> issuer_fps;
-    for (std::uint32_t leaf : leaves) {
-      issuer_fps[ix.leaf_issuer(leaf)].insert(ix.leaf_fp(leaf));
-    }
     std::map<std::string, std::size_t>& row = out[ix.vendors().str(v)];
-    for (const auto& [issuer, fps] : issuer_fps) {
-      row[ix.issuers().str(issuer)] = fps.size();
-    }
+    for (std::uint32_t fp : leaves) ++row[ix.issuers().str(ix.fp_issuer(fp))];
   }
   return out;
 }
@@ -68,9 +61,7 @@ IssuerMatrix issuer_matrix(const CertDataset& certs,
   IssuerMatrix matrix;
   auto counts = vendor_issuer_counts(certs);
 
-  // Distinct leaves per issuer from the fingerprint domain of the index
-  // (the same first-record-wins issuer attribution as the seed's
-  // fingerprint-keyed leaf map).
+  // Distinct leaves per issuer, over the leaf domain of the index.
   const CertIndex& ix = certs.index();
   std::map<std::string, std::size_t> issuer_totals;
   for (std::uint32_t f = 0; f < ix.fps().size(); ++f) {

@@ -75,9 +75,11 @@ std::size_t HealthRegistry::size(HealthKind kind) const {
   return slot(kind).size();
 }
 
+// Never destroyed: a ScopedHealthCheck with static storage may unregister
+// during teardown.
 HealthRegistry& health() {
-  static HealthRegistry registry;
-  return registry;
+  static HealthRegistry* registry = new HealthRegistry;
+  return *registry;
 }
 
 ScopedHealthCheck::ScopedHealthCheck(std::string name, HealthKind kind,

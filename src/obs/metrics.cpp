@@ -203,9 +203,11 @@ Json Registry::to_json_value() const {
   return out;
 }
 
+// Never destroyed, like the arena accounts that keep Gauge* into it: an
+// object with static storage may still report to it during teardown.
 Registry& metrics() {
-  static Registry registry;
-  return registry;
+  static Registry* registry = new Registry;
+  return *registry;
 }
 
 }  // namespace iotls::obs

@@ -321,7 +321,7 @@ TextReport table06_cert_summary(StreamIngest& ingest, const devicesim::FleetData
   row("#.Servers (FQDNs) reachable", std::to_string(certs.reachable_snis()), "1151");
   row("#.SNIs extracted", std::to_string(certs.extracted_snis()), "1194");
   row("#.Leaf certificates", std::to_string(certs.leaves().size()), "842");
-  row("#.Issuer organizations", std::to_string(certs.issuer_organizations().size()), "33");
+  row("#.Issuer organizations", std::to_string(certs.index().issuers().size()), "33");
   row("#.Distinct SLDs", std::to_string(certs.distinct_slds()), "357");
   row("servers per certificate (mean)", fmt_double(sharing.mean_servers_per_cert, 2), "1.72");
   row("servers per certificate (max)", std::to_string(sharing.max_servers_per_cert), "32");
@@ -919,7 +919,7 @@ TextReport ablation_threshold(StreamIngest& ingest, const devicesim::FleetDatase
     table.add_row({std::to_string(threshold), std::to_string(certs.extracted_snis()),
                    std::to_string(certs.reachable_snis()),
                    std::to_string(certs.leaves().size()),
-                   std::to_string(certs.issuer_organizations().size())});
+                   std::to_string(certs.index().issuers().size())});
   }
   return {banner("Ablation", "SNI user-threshold sensitivity") + table.render() +
           "\nreading: raising the threshold trims the long tail of rarely "

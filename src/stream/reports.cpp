@@ -114,7 +114,7 @@ obs::Json report_certs(StreamIngest& ingest) {
       {"reachable_snis", static_cast<std::int64_t>(certs.reachable_snis())},
       {"distinct_leaves", static_cast<std::int64_t>(certs.leaves().size())},
       {"issuer_organizations",
-       static_cast<std::int64_t>(certs.issuer_organizations().size())},
+       static_cast<std::int64_t>(certs.index().issuers().size())},
       {"mean_servers_per_cert", stats.mean_servers_per_cert},
       {"max_servers_per_cert",
        static_cast<std::int64_t>(stats.max_servers_per_cert)},

@@ -82,8 +82,7 @@ struct ValidationResult {
 /// pass over the TBS bytes (crypto/signature.hpp), so keying the cache on a
 /// TBS digest would cost as much as the verification it saves. Entries are
 /// instead keyed on the certificate's cheap identity tuple — authority key
-/// id, subject key id (SPKI), serial and validity window — the same
-/// SPKI+serial identity CertIndex uses for leaf deduplication.
+/// id, subject key id (SPKI), serial and validity window.
 ///
 /// Thread safety: the table is mutex-striped into shards and the shard lock
 /// is held across the verification itself, so each distinct certificate is

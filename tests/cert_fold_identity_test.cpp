@@ -73,24 +73,16 @@ std::set<std::string> strings(const core::Interner& domain) {
   return out;
 }
 
-std::string leaf_key(const CertIndex& ix, std::uint32_t leaf) {
-  if (leaf == CertIndex::kNone) return "-";
-  const x509::Certificate& cert = ix.leaf_cert(leaf);
-  return cert.subject_key_id + '/' + std::to_string(cert.serial);
-}
-
-/// Every relation of a CertIndex with its ids resolved to strings, so two
-/// indexes compare by content whatever ids they assigned.
+/// Every relation of a CertIndex with its ids resolved to strings (a leaf
+/// by its fingerprint), so two indexes compare by content whatever ids they
+/// assigned.
 struct IndexContent {
   std::vector<std::set<std::string>> domains;
-  // leaf key -> (fingerprint, issuer, spki, certificate fingerprint)
-  std::map<std::string, std::tuple<std::string, std::string, std::string, std::string>>
-      leaves;
   std::map<std::string, std::pair<std::string, std::int64_t>> fps;
-  std::vector<std::pair<std::string, std::string>> records;  // (leaf, fp)
+  std::vector<std::string> records;  // leaf fingerprint per record
   std::map<std::string, std::set<std::string>> sni_devices, sni_vendors;
   std::map<std::string, std::set<std::string>> leaf_servers, leaf_ips;
-  std::map<std::string, std::set<std::string>> vendor_leaves, issuer_leaves;
+  std::map<std::string, std::set<std::string>> vendor_leaves;
 
   friend bool operator==(const IndexContent&, const IndexContent&) = default;
 };
@@ -116,38 +108,27 @@ std::map<std::string, std::set<std::string>> resolve(
 
 IndexContent content(const CertIndex& ix) {
   IndexContent c;
-  for (const core::Interner* domain :
-       {&ix.snis(), &ix.devices(), &ix.vendors(), &ix.ips(), &ix.issuers(),
-        &ix.spkis(), &ix.fps()}) {
+  for (const core::Interner* domain : {&ix.snis(), &ix.devices(), &ix.vendors(),
+                                       &ix.ips(), &ix.issuers(), &ix.fps()}) {
     c.domains.push_back(strings(*domain));
-  }
-  for (std::uint32_t leaf = 0; leaf < ix.leaf_count(); ++leaf) {
-    c.leaves[leaf_key(ix, leaf)] = {ix.leaf_fingerprint(leaf),
-                                    ix.issuers().str(ix.leaf_issuer(leaf)),
-                                    ix.spkis().str(ix.leaf_spki(leaf)),
-                                    ix.leaf_cert(leaf).fingerprint()};
   }
   for (std::uint32_t fp = 0; fp < ix.fps().size(); ++fp) {
     c.fps[ix.fps().str(fp)] = {ix.issuers().str(ix.fp_issuer(fp)),
                                ix.fp_validity_days(fp)};
   }
-  for (std::size_t i = 0; i < ix.record_leaf().size(); ++i) {
-    std::uint32_t fp = ix.record_fp()[i];
-    c.records.emplace_back(leaf_key(ix, ix.record_leaf()[i]),
-                           fp == CertIndex::kNone ? "-" : ix.fps().str(fp));
+  for (std::uint32_t fp : ix.record_fp()) {
+    c.records.push_back(fp == CertIndex::kNone ? "-" : ix.fps().str(fp));
   }
   auto sni = [&](std::uint32_t id) { return ix.snis().str(id); };
   auto device = [&](std::uint32_t id) { return ix.devices().str(id); };
   auto vendor = [&](std::uint32_t id) { return ix.vendors().str(id); };
   auto ip = [&](std::uint32_t id) { return ix.ips().str(id); };
-  auto issuer = [&](std::uint32_t id) { return ix.issuers().str(id); };
-  auto leaf = [&](std::uint32_t id) { return leaf_key(ix, id); };
+  auto leaf = [&](std::uint32_t id) { return ix.fps().str(id); };
   c.sni_devices = resolve(ix.sni_devices(), sni, device);
   c.sni_vendors = resolve(ix.sni_vendors(), sni, vendor);
   c.leaf_servers = resolve(ix.leaf_servers(), leaf, sni);
   c.leaf_ips = resolve(ix.leaf_ips(), leaf, ip);
   c.vendor_leaves = resolve(ix.vendor_leaves(), vendor, leaf);
-  c.issuer_leaves = resolve(ix.issuer_leaves(), issuer, leaf);
   return c;
 }
 
@@ -168,14 +149,7 @@ void expect_same_dataset(const CertDataset& got, const CertDataset& want,
     EXPECT_EQ(a.stapled, b.stapled) << where << ' ' << a.sni;
     EXPECT_EQ(a.staple_valid, b.staple_valid) << where << ' ' << a.sni;
   }
-  ASSERT_EQ(got.leaves().size(), want.leaves().size()) << where;
-  for (auto a = got.leaves().begin(), b = want.leaves().begin();
-       a != got.leaves().end(); ++a, ++b) {
-    ASSERT_EQ(a->first, b->first) << where;
-    EXPECT_TRUE(a->second.cert == b->second.cert) << where << ' ' << a->first;
-    EXPECT_EQ(a->second.servers, b->second.servers) << where << ' ' << a->first;
-    EXPECT_EQ(a->second.ips, b->second.ips) << where << ' ' << a->first;
-  }
+  EXPECT_EQ(got.leaves().size(), want.leaves().size()) << where;
   EXPECT_TRUE(content(got.index()) == content(want.index())) << where;
 }
 
@@ -272,10 +246,10 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(std::string(), std::string("seed=7,timeout=0.2")),
                      testing::Values(1, 8)));
 
-TEST(CertIndexFoldTest, FirstServingRecordWinsAcrossFolds) {
+TEST(CertIndexFoldTest, SameKeyTwoEncodingsAreTwoLeaves) {
   // One SPKI+serial served with two encodings (another issuer, another
-  // validity). A batch fold takes the lexicographically first SNI's
-  // instance; a later fold that adds a smaller SNI must switch to it, and
+  // validity): the fingerprints differ, so these are two leaves, whichever
+  // order the folds see them in. One vendor contacts both SNIs, and
   // membership gained later must land as if it had been there all along.
   x509::Certificate a_cert;
   a_cert.serial = 7;
@@ -309,7 +283,7 @@ TEST(CertIndexFoldTest, FirstServingRecordWinsAcrossFolds) {
   };
 
   core::DatasetIndex whole;
-  const std::uint32_t whole_a = contact(whole, "a.example", "d2", "V2");
+  const std::uint32_t whole_a = contact(whole, "a.example", "d2", "V1");
   contact(whole, "b.example", "d1", "V1");
   const std::uint32_t whole_b = contact(whole, "b.example", "d9", "V3");
   CertIndex cold;
@@ -322,18 +296,27 @@ TEST(CertIndexFoldTest, FirstServingRecordWinsAcrossFolds) {
   CertIndex split;
   split.record(b, b_cert.fingerprint(), growing, grown_b);
   split.finalize({0});
-  const std::uint32_t grown_a = contact(growing, "a.example", "d2", "V2");
+  const std::uint32_t grown_a = contact(growing, "a.example", "d2", "V1");
   split.record(a, a_cert.fingerprint(), growing, grown_a);
   split.finalize({0});  // a.example sorts first
   contact(growing, "b.example", "d9", "V3");
-  split.add_membership(1, b, growing, {growing.devices().find("d9")},
+  split.add_membership(1, growing, {growing.devices().find("d9")},
                        {growing.vendors().find("V3")});
   split.finalize({});
 
-  ASSERT_EQ(split.leaf_count(), 1u);
-  EXPECT_EQ(split.leaf_cert(0).issuer.organization, "Org A");
-  EXPECT_EQ(split.leaf_fingerprint(0), a_cert.fingerprint());
-  EXPECT_TRUE(content(split) == content(cold));
+  for (const CertIndex* ix : {&cold, &split}) {
+    ASSERT_EQ(ix->fps().size(), 2u);
+    const core::PostingList& v1 = ix->vendor_leaves()[ix->vendors().find("V1")];
+    ASSERT_EQ(v1.size(), 2u);
+    EXPECT_EQ(strings(ix->fps()),
+              (std::set<std::string>{ix->fps().str(v1[0]), ix->fps().str(v1[1])}));
+    const std::uint32_t fp_a = ix->fps().find(a_cert.fingerprint());
+    ASSERT_NE(fp_a, CertIndex::kNone);
+    EXPECT_EQ(ix->issuers().str(ix->fp_issuer(fp_a)), "Org A");
+  }
+  const IndexContent want = content(cold);
+  EXPECT_EQ(want.vendor_leaves.at("V3"), std::set<std::string>{b_cert.fingerprint()});
+  EXPECT_TRUE(content(split) == want);
 }
 
 TEST(CertCollectMemoTest, MatchesColdCollectAtEveryPrefix) {

@@ -2,7 +2,7 @@
 // pipeline must be byte-identical to the pre-index sequential path.
 //
 // Each analysis is restated here exactly as the seed implemented it —
-// string-keyed maps over `records()`/`leaves()` and per-SNI member sets
+// string-keyed maps over `records()` and per-SNI member sets
 // built from the parsed events, re-hashing fingerprints per use, uncached
 // signature verification — and
 // both sides are serialized to canonical JSON (obs::Json preserves member
@@ -40,6 +40,13 @@ namespace {
 /// The devices, vendors and users seen toward one SNI, as strings.
 struct SniMembers {
   std::set<std::string> devices, vendors, users;
+};
+
+/// A leaf as the seed kept it: the first serving record's certificate and
+/// every FQDN and IP presenting it (New York).
+struct RefLeaf {
+  x509::Certificate cert;
+  std::set<std::string> servers, ips;
 };
 
 /// SNI -> members, built from the parsed events: the seed's per-SNI string
@@ -130,7 +137,7 @@ obs::Json record_json(const SniRecord& r, const SniMembers& m) {
 
 obs::Json dataset_json(const std::vector<SniRecord>& records,
                        const std::vector<SniMembers>& members,
-                       const std::map<std::string, LeafRecord>& leaves,
+                       const std::map<std::string, RefLeaf>& leaves,
                        std::size_t extracted, std::size_t reachable) {
   obs::Json::Array recs;
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -154,12 +161,30 @@ obs::Json dataset_json(const std::vector<SniRecord>& records,
   });
 }
 
+/// The leaves as the pipeline holds them: per fingerprint id, the first
+/// serving record's certificate and the index's leaf_servers/leaf_ips rows.
+std::map<std::string, RefLeaf> index_leaves(const CertDataset& ds) {
+  const CertIndex& ix = ds.index();
+  std::map<std::string, RefLeaf> out;
+  for (std::size_t i = 0; i < ds.records().size(); ++i) {
+    const std::uint32_t fp = ix.record_fp()[i];
+    if (fp == CertIndex::kNone) continue;
+    auto [it, first] = out.try_emplace(ix.fps().str(fp));
+    if (!first) continue;
+    RefLeaf& leaf = it->second;
+    leaf.cert = ds.records()[i].chain.front();
+    for (std::uint32_t sni : ix.leaf_servers()[fp]) leaf.servers.insert(ix.snis().str(sni));
+    for (std::uint32_t ip : ix.leaf_ips()[fp]) leaf.ips.insert(ix.ips().str(ip));
+  }
+  return out;
+}
+
 obs::Json dataset_json(const CertDataset& ds, const ClientDataset& client) {
   std::vector<SniMembers> members;
   for (const SniRecord& r : ds.records()) {
     members.push_back(index_members(ds, client, r.sni));
   }
-  return dataset_json(ds.records(), members, ds.leaves(), ds.extracted_snis(),
+  return dataset_json(ds.records(), members, index_leaves(ds), ds.extracted_snis(),
                       ds.reachable_snis());
 }
 
@@ -368,7 +393,7 @@ using Members = std::map<std::string, SniMembers>;
 struct RefDataset {
   std::vector<SniRecord> records;
   std::vector<SniMembers> members;  // parallel to `records`
-  std::map<std::string, LeafRecord> leaves;
+  std::map<std::string, RefLeaf> leaves;
   std::size_t extracted = 0;
   std::size_t reachable = 0;
 };
@@ -410,7 +435,7 @@ RefDataset ref_collect(const Members& members, const devicesim::SimWorld& world,
       }
       if (!record.chain.empty()) {
         const std::string fp = record.chain.front().fingerprint();
-        LeafRecord& leaf = ds.leaves[fp];
+        RefLeaf& leaf = ds.leaves[fp];
         if (leaf.servers.empty()) leaf.cert = record.chain.front();
         leaf.servers.insert(sni);
         for (const std::string& ip : record.server_ips) leaf.ips.insert(ip);
@@ -515,6 +540,17 @@ RefChainReport ref_validate_dataset(const CertDataset& certs, const Members& mem
   return report;
 }
 
+/// Leaf fingerprint -> issuer organization of the first record serving it.
+std::map<std::string, std::string> ref_leaf_issuers(const CertDataset& certs) {
+  std::map<std::string, std::string> out;
+  for (const SniRecord& record : certs.records()) {
+    if (!record.reachable || record.chain.empty()) continue;
+    const x509::Certificate& leaf = record.chain.front();
+    out.emplace(leaf.fingerprint(), leaf.issuer.organization);
+  }
+  return out;
+}
+
 std::map<std::string, std::map<std::string, std::size_t>>
 ref_vendor_issuer_counts(const CertDataset& certs, const Members& members) {
   std::map<std::string, std::map<std::string, std::set<std::string>>>
@@ -546,9 +582,7 @@ IssuerMatrix ref_issuer_matrix(const CertDataset& certs, const Members& members,
   auto counts = ref_vendor_issuer_counts(certs, members);
 
   std::map<std::string, std::size_t> issuer_totals;
-  for (const auto& [fp, leaf] : certs.leaves()) {
-    ++issuer_totals[leaf.cert.issuer.organization];
-  }
+  for (const auto& [fp, org] : ref_leaf_issuers(certs)) ++issuer_totals[org];
 
   std::map<std::string, double> vendor_public_share;
   for (const auto& [vendor, issuers] : counts) {
@@ -587,11 +621,11 @@ IssuerMatrix ref_issuer_matrix(const CertDataset& certs, const Members& members,
 IssuerReport ref_issuer_report(const CertDataset& certs, const Members& members,
                                const std::map<std::string, bool>& issuer_is_public) {
   IssuerReport report;
-  report.leaves = certs.leaves().size();
+  const std::map<std::string, std::string> leaf_issuers = ref_leaf_issuers(certs);
+  report.leaves = leaf_issuers.size();
 
   std::map<std::string, std::size_t> per_issuer;
-  for (const auto& [fp, leaf] : certs.leaves()) {
-    const std::string& org = leaf.cert.issuer.organization;
+  for (const auto& [fp, org] : leaf_issuers) {
     ++per_issuer[org];
     if (!ref_is_public(issuer_is_public, org)) ++report.private_leaves;
   }
@@ -871,6 +905,12 @@ TEST(ValidationCacheTest, OcspVerdictsMatchUncached) {
 
 // -------------------------------------------------------------- CertIndex
 
+std::set<std::string> strings_of(const Interner& domain) {
+  std::set<std::string> out;
+  for (std::uint32_t id = 0; id < domain.size(); ++id) out.insert(domain.str(id));
+  return out;
+}
+
 bool sorted_unique(const PostingList& list) {
   return std::adjacent_find(list.begin(), list.end(),
                             [](std::uint32_t a, std::uint32_t b) { return a >= b; }) ==
@@ -881,18 +921,25 @@ TEST(CertIndexTest, FingerprintDomainMatchesLeafView) {
   const auto& f = fixture();
   const CertIndex& ix = f.certs.index();
 
-  // Every distinct fingerprint in the leaves() map is interned,
-  // and nothing else is.
-  EXPECT_EQ(ix.fps().size(), f.certs.leaves().size());
-  for (const auto& [fp, leaf] : f.certs.leaves()) {
+  // The leaf domain is exactly the distinct leaf fingerprints of the
+  // records, each with its certificate's issuer and validity.
+  std::map<std::string, const x509::Certificate*> leaves;
+  for (const SniRecord& record : f.certs.records()) {
+    if (record.reachable && !record.chain.empty()) {
+      leaves.emplace(record.chain.front().fingerprint(), &record.chain.front());
+    }
+  }
+  EXPECT_EQ(ix.fps().size(), leaves.size());
+  EXPECT_EQ(f.certs.leaves().size(), leaves.size());
+  std::set<std::string> issuers;
+  for (const auto& [fp, cert] : leaves) {
     std::uint32_t id = ix.fps().find(fp);
     ASSERT_NE(id, CertIndex::kNone) << fp;
-    EXPECT_EQ(ix.issuers().str(ix.fp_issuer(id)), leaf.cert.issuer.organization);
-    EXPECT_EQ(ix.fp_validity_days(id), leaf.cert.validity_days());
+    EXPECT_EQ(ix.issuers().str(ix.fp_issuer(id)), cert->issuer.organization);
+    EXPECT_EQ(ix.fp_validity_days(id), cert->validity_days());
+    issuers.insert(cert->issuer.organization);
   }
-  // Leaves dedup by SPKI+serial, which identical bytes always share.
-  EXPECT_LE(ix.leaf_count(), ix.fps().size());
-  EXPECT_GT(ix.leaf_count(), 0u);
+  EXPECT_EQ(strings_of(ix.issuers()), issuers);
 }
 
 TEST(CertIndexTest, RecordColumnsTrackRecords) {
@@ -900,21 +947,19 @@ TEST(CertIndexTest, RecordColumnsTrackRecords) {
   const CertIndex& ix = f.certs.index();
   const auto& records = f.certs.records();
 
-  ASSERT_EQ(ix.record_leaf().size(), records.size());
+  ASSERT_EQ(ix.record_sni().size(), records.size());
   ASSERT_EQ(ix.record_fp().size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const SniRecord& record = records[i];
+    EXPECT_EQ(ix.snis().str(ix.record_sni()[i]), record.sni);
     if (!record.reachable || record.chain.empty()) {
-      EXPECT_EQ(ix.record_leaf()[i], CertIndex::kNone) << record.sni;
       EXPECT_EQ(ix.record_fp()[i], CertIndex::kNone) << record.sni;
       continue;
     }
     ASSERT_NE(ix.record_fp()[i], CertIndex::kNone) << record.sni;
-    ASSERT_NE(ix.record_leaf()[i], CertIndex::kNone) << record.sni;
-    // The memoized fingerprint is the leaf's actual SHA-256.
+    // The leaf id is the id of the leaf's actual SHA-256.
     EXPECT_EQ(ix.fps().str(ix.record_fp()[i]), record.chain.front().fingerprint())
         << record.sni;
-    EXPECT_EQ(ix.leaf_fp(ix.record_leaf()[i]), ix.record_fp()[i]) << record.sni;
   }
 }
 
@@ -923,30 +968,33 @@ TEST(CertIndexTest, PostingListsSortedUniqueAndComplete) {
   const CertIndex& ix = f.certs.index();
 
   for (const auto* table : {&ix.sni_devices(), &ix.sni_vendors(), &ix.leaf_servers(),
-                            &ix.leaf_ips(), &ix.vendor_leaves(), &ix.issuer_leaves()}) {
+                            &ix.leaf_ips(), &ix.vendor_leaves()}) {
     for (const PostingList& list : *table) {
       EXPECT_TRUE(sorted_unique(list));
     }
   }
 
-  // leaf_servers must agree with the string-keyed leaf view.
-  for (const auto& [fp, leaf] : f.certs.leaves()) {
-    std::uint32_t leaf_id = CertIndex::kNone;
-    for (std::uint32_t l = 0; l < ix.leaf_count(); ++l) {
-      if (ix.leaf_fingerprint(l) == fp) { leaf_id = l; break; }
-    }
-    ASSERT_NE(leaf_id, CertIndex::kNone) << fp;
-    std::set<std::string> servers;
-    for (std::uint32_t sni : ix.leaf_servers()[leaf_id]) {
-      servers.insert(ix.snis().str(sni));
-    }
-    // SPKI+serial dedup can fold several byte-identical-modulo-metadata
-    // certificates into one leaf id, so the index's server set covers at
-    // least the leaves() map's.
-    for (const std::string& s : leaf.servers) {
-      EXPECT_TRUE(servers.count(s)) << fp << " missing " << s;
-    }
+  // leaf_servers and leaf_ips hold exactly the servers and IPs presenting
+  // each leaf fingerprint, as the records give them.
+  std::map<std::string, std::set<std::string>> want_servers, want_ips;
+  for (const SniRecord& record : f.certs.records()) {
+    if (!record.reachable || record.chain.empty()) continue;
+    const std::string fp = record.chain.front().fingerprint();
+    want_servers[fp].insert(record.sni);
+    want_ips[fp].insert(record.server_ips.begin(), record.server_ips.end());
   }
+  std::map<std::string, std::set<std::string>> servers, ips;
+  ASSERT_EQ(ix.leaf_servers().size(), ix.fps().size());
+  ASSERT_EQ(ix.leaf_ips().size(), ix.fps().size());
+  for (std::uint32_t fp = 0; fp < ix.fps().size(); ++fp) {
+    for (std::uint32_t sni : ix.leaf_servers()[fp]) {
+      servers[ix.fps().str(fp)].insert(ix.snis().str(sni));
+    }
+    std::set<std::string>& row = ips[ix.fps().str(fp)];
+    for (std::uint32_t ip : ix.leaf_ips()[fp]) row.insert(ix.ips().str(ip));
+  }
+  EXPECT_EQ(servers, want_servers);
+  EXPECT_EQ(ips, want_ips);
 
   // sni_devices/sni_vendors must hold each record's members as the events
   // give them.

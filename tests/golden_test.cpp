@@ -81,12 +81,10 @@ const devicesim::FleetDataset& default_fleet() {
 }
 
 /// The default fleet folded in one epoch at `jobs`, certs on and events
-/// retained: every input any entry reads. Built once per jobs level and
-/// never destroyed: an ingest's teardown reports to the metric registry,
-/// which static destruction may already have torn down.
+/// retained: every input any entry reads. Built once per jobs level.
 stream::StreamIngest& default_ingest(int jobs) {
-  static auto* ingests = new std::map<int, std::unique_ptr<stream::StreamIngest>>;
-  std::unique_ptr<stream::StreamIngest>& ingest = (*ingests)[jobs];
+  static std::map<int, std::unique_ptr<stream::StreamIngest>> ingests;
+  std::unique_ptr<stream::StreamIngest>& ingest = ingests[jobs];
   if (ingest == nullptr) {
     stream::IngestConfig config;
     config.jobs = jobs;

@@ -38,16 +38,17 @@ TEST(CertDatasetTest, HeadlineCounts) {
   // 842 leaves in the paper; the simulator must land in the same regime.
   EXPECT_GT(f.certs.leaves().size(), 700u);
   EXPECT_LT(f.certs.leaves().size(), 950u);
-  EXPECT_GE(f.certs.issuer_organizations().size(), 25u);
-  EXPECT_LE(f.certs.issuer_organizations().size(), 40u);
+  EXPECT_GE(f.certs.index().issuers().size(), 25u);
+  EXPECT_LE(f.certs.index().issuers().size(), 40u);
 }
 
 TEST(CertDatasetTest, EveryReachableRecordHasChain) {
   const CertIndex& ix = fixture().certs.index();
-  for (const SniRecord& record : fixture().certs.records()) {
-    if (!record.reachable) continue;
-    EXPECT_FALSE(record.chain.empty()) << record.sni;
-    EXPECT_FALSE(ix.sni_devices()[ix.snis().find(record.sni)].empty()) << record.sni;
+  const std::vector<SniRecord>& records = fixture().certs.records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (!records[i].reachable) continue;
+    EXPECT_FALSE(records[i].chain.empty()) << records[i].sni;
+    EXPECT_FALSE(ix.sni_devices()[ix.record_sni()[i]].empty()) << records[i].sni;
   }
 }
 

@@ -324,7 +324,8 @@ int main(int argc, char** argv) {
     std::printf("\ncertificates: %zu SNIs extracted, %zu reachable, "
                 "%zu distinct leaves, %zu issuer organizations\n",
                 certs.extracted_snis(), certs.reachable_snis(),
-                certs.leaves().size(), certs.issuer_organizations().size());
+                certs.leaves().size(),
+                std::size_t{certs.index().issuers().size()});
 
     auto chains = core::validate_dataset(certs, world, kProbeDay, jobs,
                                          &vcache);
