@@ -61,7 +61,7 @@ struct Synthetic {
   devicesim::SimWorld world;
   core::ClientDataset client;
   core::CertDataset certs;
-  Members members;  // from the parsed events: the seed path's per-SNI sets
+  Members members;  // resolved from the client index: the seed path's per-SNI sets
 
   static const Synthetic& get() {
     static Synthetic s;
@@ -141,9 +141,11 @@ struct Synthetic {
 
     client = core::ClientDataset::from_fleet(fleet);
     certs = core::CertDataset::collect(client, world);
-    for (const core::ParsedEvent& e : client.events()) {
-      members[e.sni].devices.insert(e.device_id);
-      members[e.sni].vendors.insert(e.vendor);
+    const core::DatasetIndex& ix = client.index();
+    for (std::uint32_t s = 0; s < ix.snis().size(); ++s) {
+      SniMembers& m = members[ix.snis().str(s)];
+      for (std::uint32_t d : ix.sni_devices()[s]) m.devices.insert(ix.devices().str(d));
+      for (std::uint32_t v : ix.sni_vendors()[s]) m.vendors.insert(ix.vendors().str(v));
     }
   }
 };

@@ -15,12 +15,16 @@
 
 namespace iotls::bench {
 
-/// Vendor -> fingerprint keys, built from the parsed events: the string
-/// sets the pre-index Jaccard kernel ran on, kept as its reference input.
+/// Vendor -> fingerprint keys, resolved from the index: the string sets the
+/// pre-index Jaccard kernel ran on, kept as its reference input.
 inline std::map<std::string, std::set<std::string>> vendor_fp_strings(
     const core::ClientDataset& ds) {
+  const core::DatasetIndex& ix = ds.index();
   std::map<std::string, std::set<std::string>> out;
-  for (const core::ParsedEvent& e : ds.events()) out[e.vendor].insert(e.fp_key);
+  for (std::uint32_t v = 0; v < ix.vendors().size(); ++v) {
+    std::set<std::string>& fps = out[ix.vendors().str(v)];
+    for (std::uint32_t f : ix.vendor_fps()[v]) fps.insert(ix.fps().str(f));
+  }
   return out;
 }
 

@@ -140,8 +140,8 @@ SmartTvStudy smart_tv_study(const devicesim::SimWorld& world,
   auto hellos = pcap::extract_client_hellos(reread);
   study.pcap_hellos = hellos.size();
   std::set<std::string> fps;
-  for (const pcap::CapturedClientHello& captured : hellos) {
-    fps.insert(tls::fingerprint_of(captured.hello).key());
+  for (const auto& [flow, ts_sec, hello] : hellos) {
+    fps.insert(tls::fingerprint_of(hello).key());
   }
   study.pcap_fingerprints = fps.size();
 

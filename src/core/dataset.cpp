@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 
@@ -89,16 +90,16 @@ namespace {
 struct WireParse {
   enum class Kind { kOk, kNoClientHello, kParseError };
   Kind kind = Kind::kParseError;
-  tls::ClientHello hello;  // kept only when events are retained
   std::optional<std::string> sni;
   tls::Fingerprint fp;
   std::string fp_key;
+  bool grease_suite = false, grease_extension = false;
   std::uint32_t fp_ix = Interner::kNone;
   std::uint32_t sni_ix = Interner::kNone;  // interned with fp_ix iff `sni` is set
 };
 
 void parse_wire(BytesView wire, const tls::FingerprintOptions& opts,
-                bool keep_hello, WireParse& out) {
+                WireParse& out) {
   std::optional<tls::ClientHello> hello;
   try {
     hello = tls::first_client_hello(wire);
@@ -113,7 +114,8 @@ void parse_wire(BytesView wire, const tls::FingerprintOptions& opts,
   out.sni = hello->sni();
   out.fp = tls::fingerprint_of(*hello, opts);
   out.fp_key = out.fp.key();
-  if (keep_hello) out.hello = std::move(*hello);
+  out.grease_suite = tls::has_grease_ciphersuite(*hello);
+  out.grease_extension = tls::has_grease_extension(*hello);
   out.kind = WireParse::Kind::kOk;
 }
 
@@ -213,7 +215,7 @@ void ClientDataset::append_events(
   // Phase 2 (parallel): parse and fingerprint each distinct wire once.
   std::vector<WireParse> parsed(wires.size());
   exec::parallel_for(jobs, wires.size(), [&](std::size_t w) {
-    parse_wire(wires[w], opts, retain_events_, parsed[w]);
+    parse_wire(wires[w], opts, parsed[w]);
   });
   wires_counter.inc(wires.size());
 
@@ -249,9 +251,9 @@ void ClientDataset::append_events(
       continue;
     }
 
-    const devicesim::Device& device = fleet_devices[row_of[i]];
     DeviceIds& ids = devices_->ids[row_of[i]];
     if (ids.device == kNone) {
+      const devicesim::Device& device = fleet_devices[row_of[i]];
       ids = index_.intern_device(device.id, device.vendor, device.type,
                                  device.user_id);
     }
@@ -259,28 +261,13 @@ void ClientDataset::append_events(
       wire.fp_ix = index_.intern_fp(wire.fp_key, wire.fp);
       if (wire.sni.has_value()) wire.sni_ix = index_.intern_sni(*wire.sni);
     }
-    const std::string& sni = wire.sni.has_value() ? *wire.sni : raw.sni;
     std::uint32_t sni_ix =
         wire.sni.has_value() ? wire.sni_ix : index_.intern_sni(raw.sni);
     folded.push_back({ids, sni_ix, wire.fp_ix});
-
-    if (!retain_events_) continue;
-    ParsedEvent& ev = events_.emplace_back();
-    ev.device_id = device.id;
-    ev.vendor = device.vendor;
-    ev.type = device.type;
-    ev.user = device.user_id;
-    ev.day = raw.day;
-    ev.sni = sni;
-    ev.hello = wire.hello;
-    ev.fp = wire.fp;
-    ev.fp_key = wire.fp_key;
-    ev.device_ix = ids.device;
-    ev.vendor_ix = ids.vendor;
-    ev.type_ix = ids.type;
-    ev.user_ix = ids.user;
-    ev.sni_ix = sni_ix;
-    ev.fp_ix = wire.fp_ix;
+    if (retain_events_) {
+      events_.push_back({folded.back(), raw.day, wire.grease_suite,
+                         wire.grease_extension});
+    }
   }
 
   // Phase 4 (parallel, one task per posting table): the id-level fold.

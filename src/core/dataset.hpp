@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/index.hpp"
@@ -19,25 +18,15 @@
 
 namespace iotls::core {
 
-/// One parsed ClientHello observation. The *_ix fields are the event's
-/// interned ids in the dataset's DatasetIndex (dense, deterministic).
-struct ParsedEvent {
-  std::string device_id;
-  std::string vendor;
-  std::string type;     // device type/model label
-  std::string user;
+/// One retained event: its interned ids in the dataset's DatasetIndex
+/// (names and the fingerprint value resolve through index()), its capture
+/// day, and the two GREASE facts the fingerprint strips (App. B.10).
+struct ParsedEvent : EventIds {
   std::int64_t day = 0;
-  std::string sni;
-  tls::ClientHello hello;
-  tls::Fingerprint fp;
-  std::string fp_key;   // cached fp.key()
+  bool grease_suite = false;      // a GREASE value in the ciphersuite list
+  bool grease_extension = false;  // a GREASE value in the extension list
 
-  std::uint32_t device_ix = 0;
-  std::uint32_t vendor_ix = 0;
-  std::uint32_t type_ix = 0;
-  std::uint32_t user_ix = 0;
-  std::uint32_t sni_ix = 0;
-  std::uint32_t fp_ix = 0;
+  friend bool operator==(const ParsedEvent&, const ParsedEvent&) = default;
 };
 
 /// Why an event was dropped during parsing (per-reason counts are exposed
@@ -102,11 +91,12 @@ class ClientDataset {
   void finalize();
 
   /// When false, append_events folds every parsed event into the index but
-  /// does not retain it in events() — resident memory stays O(distinct
-  /// interned ids + posting lists) instead of O(total events), which is
-  /// what lets the streaming fold run a 1M-device fleet on one machine.
-  /// Every index-backed analysis (all of the stream reports) is unaffected;
-  /// only the event-iterating analyses (tls_params, longitudinal, semantic,
+  /// does not retain it in events(), so resident memory stays O(distinct
+  /// interned ids + posting lists) instead of O(total events): what lets
+  /// the streaming fold run a 1M-device fleet on one machine. A retained
+  /// event is its ids, day and GREASE bits (about 40 bytes). Every
+  /// index-backed analysis (all of the stream reports) is unaffected; only
+  /// the event-iterating analyses (tls_params, longitudinal, semantic,
   /// device_metrics) need retained events. Set before the first
   /// append_events; flipping it mid-ingest only affects later epochs.
   void set_retain_events(bool retain) { retain_events_ = retain; }

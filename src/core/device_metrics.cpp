@@ -104,11 +104,11 @@ TypeClusterStats type_clusters(const ClientDataset& ds, const std::string& vendo
   stats.vendor = vendor;
   std::uint32_t v = ix.vendors().find(vendor);
   if (v == Interner::kNone) return stats;
-  std::map<std::string, std::set<std::string>> fp_types;  // fp -> types
+  std::map<std::uint32_t, std::set<std::uint32_t>> fp_types;  // fp -> types
   for (const ParsedEvent& e : ds.events()) {
-    if (e.vendor_ix != v) continue;
-    stats.type_fps[e.type].insert(e.fp_key);
-    fp_types[e.fp_key].insert(e.type);
+    if (e.vendor != v) continue;
+    stats.type_fps[ix.types().str(e.type)].insert(ix.fps().str(e.fp));
+    fp_types[e.fp].insert(e.type);
   }
   for (const auto& [key, types] : fp_types) {
     if (types.size() == 1) ++stats.exclusive_to_one_type;
@@ -127,12 +127,12 @@ DeviceClusterStats device_clusters(const ClientDataset& ds,
   std::uint32_t v = ix.vendors().find(vendor);
   if (v == Interner::kNone) return stats;
   std::set<std::uint32_t> devices;
-  std::map<std::string, std::set<std::uint32_t>> fp_devs;
+  std::map<std::uint32_t, std::set<std::uint32_t>> fp_devs;
   for (const ParsedEvent& e : ds.events()) {
-    if (e.vendor_ix != v) continue;
-    if (e.type.find(type_substring) == std::string::npos) continue;
-    devices.insert(e.device_ix);
-    fp_devs[e.fp_key].insert(e.device_ix);
+    if (e.vendor != v) continue;
+    if (ix.types().str(e.type).find(type_substring) == std::string::npos) continue;
+    devices.insert(e.device);
+    fp_devs[e.fp].insert(e.device);
   }
   stats.devices = devices.size();
   stats.fingerprints = fp_devs.size();

@@ -30,6 +30,8 @@ struct DeviceIds {
   std::uint32_t vendor = Interner::kNone;
   std::uint32_t type = Interner::kNone;
   std::uint32_t user = Interner::kNone;
+
+  friend bool operator==(const DeviceIds&, const DeviceIds&) = default;
 };
 
 /// One folded event as interned ids: its device's ids, its SNI and its
@@ -37,6 +39,8 @@ struct DeviceIds {
 struct EventIds : DeviceIds {
   std::uint32_t sni = Interner::kNone;
   std::uint32_t fp = Interner::kNone;
+
+  friend bool operator==(const EventIds&, const EventIds&) = default;
 };
 
 class DatasetIndex {

@@ -7,6 +7,7 @@ namespace iotls::core {
 
 LongitudinalReport longitudinal_analysis(const ClientDataset& ds,
                                          std::int64_t start, std::int64_t end) {
+  const DatasetIndex& ix = ds.index();
   LongitudinalReport report;
   const std::int64_t midpoint = start + (end - start) / 2;
 
@@ -19,16 +20,17 @@ LongitudinalReport longitudinal_analysis(const ClientDataset& ds,
   std::map<std::string, std::map<std::string, std::set<std::string>>> device_fp_snis;
   for (const ParsedEvent& e : ds.events()) {
     if (e.day < start || e.day > end) continue;
-    auto& [early, late] = halves[e.device_id];
-    (e.day < midpoint ? early : late).insert(e.fp_key);
-    device_fp_snis[e.device_id][e.fp_key].insert(e.sni);
+    const std::string& device = ix.devices().str(e.device);
+    const std::string& fp = ix.fps().str(e.fp);
+    auto& [early, late] = halves[device];
+    (e.day < midpoint ? early : late).insert(fp);
+    device_fp_snis[device][fp].insert(ix.snis().str(e.sni));
   }
   for (const auto& [device, sets] : halves) {
     const auto& [early, late] = sets;
     if (early.empty() || late.empty()) continue;  // not observed in both halves
     DeviceTimeline timeline;
     timeline.device_id = device;
-    const DatasetIndex& ix = ds.index();
     timeline.vendor = ix.vendors().str(ix.device_vendor(ix.devices().find(device)));
     timeline.observed_in_both_halves = true;
     ++report.devices_observed_both_halves;
@@ -61,7 +63,7 @@ LongitudinalReport longitudinal_analysis(const ClientDataset& ds,
   for (const ParsedEvent& e : ds.events()) {
     if (e.day < start || e.day > end) continue;
     std::int64_t month = start + ((e.day - start) / 30) * 30;
-    ++months[month][e.fp.version];
+    ++months[month][ix.fp_value(e.fp).version];
   }
   double prev_tls12 = -1;
   for (const auto& [month, versions] : months) {

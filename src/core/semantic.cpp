@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/tls_params.hpp"
 #include "tls/ciphersuite.hpp"
 
 namespace iotls::core {
@@ -124,13 +125,7 @@ SemanticReport semantic_match(const ClientDataset& ds,
   SemanticReport report;
   std::vector<LibraryProfile> profiles = library_profiles(corpus);
 
-  // Unique {device, ciphersuite list} tuples.
-  std::map<std::string, const ParsedEvent*> tuples;
-  for (const ParsedEvent& e : ds.events()) {
-    std::string key = e.device_id + "|";
-    for (std::uint16_t s : e.fp.cipher_suites) key += std::to_string(s) + ",";
-    tuples.emplace(key, &e);
-  }
+  const DatasetIndex& ix = ds.index();
 
   std::map<SemanticCategory, std::set<std::string>> category_vendors;
   std::map<SemanticCategory, std::size_t> outdated_counts;
@@ -144,17 +139,18 @@ SemanticReport semantic_match(const ClientDataset& ds,
   };
   std::map<std::vector<std::uint16_t>, ListMatch> by_list;
 
-  for (const auto& [key, event] : tuples) {
+  for (const auto& [key, event] : device_list_tuples(ds)) {
     SemanticMatch m;
-    m.device_id = event->device_id;
-    m.vendor = event->vendor;
+    m.device_id = ix.devices().str(event->device);
+    m.vendor = ix.vendors().str(event->vendor);
 
-    auto [cache_it, fresh] = by_list.try_emplace(event->fp.cipher_suites);
+    const std::vector<std::uint16_t>& list = ix.fp_value(event->fp).cipher_suites;
+    auto [cache_it, fresh] = by_list.try_emplace(list);
     ListMatch& cached = cache_it->second;
     if (fresh) {
-      std::vector<std::uint16_t> suites = effective_suites(event->fp.cipher_suites);
+      std::vector<std::uint16_t> suites = effective_suites(list);
       std::set<std::uint16_t> suite_set(suites.begin(), suites.end());
-      ComponentSets components = decompose(event->fp.cipher_suites);
+      ComponentSets components = decompose(list);
 
       for (const LibraryProfile& p : profiles) {
         SemanticCategory cat;

@@ -7,18 +7,18 @@
 
 namespace iotls::core {
 
-namespace {
-
-/// Unique {device, ciphersuite list} tuples with a representative event.
 std::map<std::string, const ParsedEvent*> device_list_tuples(const ClientDataset& ds) {
+  const DatasetIndex& ix = ds.index();
   std::map<std::string, const ParsedEvent*> tuples;
   for (const ParsedEvent& e : ds.events()) {
-    std::string key = e.device_id + "|";
-    for (std::uint16_t s : e.fp.cipher_suites) key += std::to_string(s) + ",";
+    std::string key = ix.devices().str(e.device) + "|";
+    for (std::uint16_t s : ix.fp_value(e.fp).cipher_suites) key += std::to_string(s) + ",";
     tuples.emplace(key, &e);
   }
   return tuples;
 }
+
+namespace {
 
 /// First non-signalling suite of a proposal (B.8 excludes lists fronted by
 /// TLS_EMPTY_RENEGOTIATION_INFO_SCSV).
@@ -30,26 +30,42 @@ std::optional<tls::CipherSuiteInfo> first_effective_suite(
   return info;
 }
 
+/// The device and vendor names of every event for which
+/// `pred(event, its fingerprint)` holds.
+template <typename Pred>
+void devices_where(const ClientDataset& ds, Pred pred, std::set<std::string>& devices,
+                   std::set<std::string>& vendors) {
+  const DatasetIndex& ix = ds.index();
+  for (const ParsedEvent& e : ds.events()) {
+    if (!pred(e, ix.fp_value(e.fp))) continue;
+    devices.insert(ix.devices().str(e.device));
+    vendors.insert(ix.vendors().str(e.vendor));
+  }
+}
+
+bool contains(const std::vector<std::uint16_t>& values, std::uint16_t v) {
+  return std::find(values.begin(), values.end(), v) != values.end();
+}
+
 }  // namespace
 
 VersionReport version_report(const ClientDataset& ds) {
+  const DatasetIndex& ix = ds.index();
   VersionReport report;
-  std::map<std::string, std::set<std::uint16_t>> device_versions;
-  std::set<std::string> counted;  // {device, fp} pairs
+  std::map<std::uint32_t, std::set<std::uint16_t>> device_versions;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> counted;  // {device, fp}
   for (const ParsedEvent& e : ds.events()) {
-    std::uint16_t version = e.fp.version;
-    device_versions[e.device_id].insert(version);
+    std::uint16_t version = ix.fp_value(e.fp).version;
+    device_versions[e.device].insert(version);
     if (version == 0x0300) {
-      report.ssl30_devices.insert(e.device_id);
+      report.ssl30_devices.insert(ix.devices().str(e.device));
       ++report.ssl30_proposals;
     }
-    std::string key = e.device_id + "|" + e.fp_key;
-    if (counted.insert(key).second) ++report.proposals[version];
+    if (counted.emplace(e.device, e.fp).second) ++report.proposals[version];
   }
   for (const auto& [device, versions] : device_versions) {
     if (versions.size() > 1) ++report.multi_version_devices;
   }
-  const DatasetIndex& ix = ds.index();
   for (const std::string& device : report.ssl30_devices) {
     ++report.ssl30_by_vendor[ix.vendors().str(ix.device_vendor(ix.devices().find(device)))];
   }
@@ -58,26 +74,27 @@ VersionReport version_report(const ClientDataset& ds) {
 
 FallbackScsvReport fallback_scsv_report(const ClientDataset& ds) {
   FallbackScsvReport report;
-  for (const ParsedEvent& e : ds.events()) {
-    for (std::uint16_t s : e.fp.cipher_suites) {
-      if (s == tls::kFallbackScsv) {
-        report.devices.insert(e.device_id);
-        report.vendors.insert(e.vendor);
-      }
-    }
-  }
+  devices_where(
+      ds,
+      [](const ParsedEvent&, const tls::Fingerprint& fp) {
+        return contains(fp.cipher_suites, tls::kFallbackScsv);
+      },
+      report.devices, report.vendors);
   return report;
 }
 
 std::vector<VulnIndexStats> vulnerable_index_stats(const ClientDataset& ds) {
+  const DatasetIndex& ix = ds.index();
   std::map<std::string, VulnIndexStats> by_vendor;
   for (const auto& [key, event] : device_list_tuples(ds)) {
-    VulnIndexStats& stats = by_vendor[event->vendor];
-    stats.vendor = event->vendor;
+    const std::string& vendor = ix.vendors().str(event->vendor);
+    const std::vector<std::uint16_t>& suites = ix.fp_value(event->fp).cipher_suites;
+    VulnIndexStats& stats = by_vendor[vendor];
+    stats.vendor = vendor;
     ++stats.tuples;
     int lowest = -1;
-    for (std::size_t i = 0; i < event->fp.cipher_suites.size(); ++i) {
-      if (tls::classify_suite(event->fp.cipher_suites[i]) ==
+    for (std::size_t i = 0; i < suites.size(); ++i) {
+      if (tls::classify_suite(suites[i]) ==
           tls::SecurityLevel::kVulnerable) {
         lowest = static_cast<int>(i);
         break;
@@ -111,15 +128,17 @@ std::vector<PreferredComponents> preferred_components(const ClientDataset& ds) {
   std::map<std::string, PreferredComponents> by_vendor;
   std::map<std::string, std::map<std::string, std::size_t>> kex_counts, cipher_counts,
       mac_counts;
+  const DatasetIndex& ix = ds.index();
   for (const auto& [key, event] : device_list_tuples(ds)) {
-    auto first = first_effective_suite(event->fp.cipher_suites);
+    auto first = first_effective_suite(ix.fp_value(event->fp).cipher_suites);
     if (!first.has_value()) continue;
-    PreferredComponents& pc = by_vendor[event->vendor];
-    pc.vendor = event->vendor;
+    const std::string& vendor = ix.vendors().str(event->vendor);
+    PreferredComponents& pc = by_vendor[vendor];
+    pc.vendor = vendor;
     ++pc.tuples;
-    ++kex_counts[event->vendor][tls::kex_auth_name(first->kex_auth)];
-    ++cipher_counts[event->vendor][tls::cipher_name(first->cipher)];
-    ++mac_counts[event->vendor][tls::mac_name(first->mac)];
+    ++kex_counts[vendor][tls::kex_auth_name(first->kex_auth)];
+    ++cipher_counts[vendor][tls::cipher_name(first->cipher)];
+    ++mac_counts[vendor][tls::mac_name(first->mac)];
   }
   std::vector<PreferredComponents> out;
   for (auto& [vendor, pc] : by_vendor) {
@@ -138,13 +157,15 @@ std::vector<PreferredComponents> preferred_components(const ClientDataset& ds) {
 }
 
 std::vector<VulnFlowRow> vulnerability_flows(const ClientDataset& ds) {
+  const DatasetIndex& ix = ds.index();
   std::map<std::string, VulnFlowRow> by_vendor;
   for (const auto& [key, event] : device_list_tuples(ds)) {
-    VulnFlowRow& row = by_vendor[event->vendor];
-    row.vendor = event->vendor;
+    const std::string& vendor = ix.vendors().str(event->vendor);
+    VulnFlowRow& row = by_vendor[vendor];
+    row.vendor = vendor;
     ++row.total_tuples;
     for (const std::string& tag :
-         tls::list_vulnerable_components(event->fp.cipher_suites)) {
+         tls::list_vulnerable_components(ix.fp_value(event->fp).cipher_suites)) {
       ++row.tag_tuples[tag];
     }
   }
@@ -156,29 +177,23 @@ std::vector<VulnFlowRow> vulnerability_flows(const ClientDataset& ds) {
 
 OcspReport ocsp_report(const ClientDataset& ds) {
   OcspReport report;
-  for (const ParsedEvent& e : ds.events()) {
-    for (std::uint16_t type : e.fp.extensions) {
-      if (type == 5) {
-        report.devices.insert(e.device_id);
-        report.vendors.insert(e.vendor);
-      }
-    }
-  }
+  devices_where(
+      ds,
+      [](const ParsedEvent&, const tls::Fingerprint& fp) {
+        return contains(fp.extensions, 5);  // status_request
+      },
+      report.devices, report.vendors);
   return report;
 }
 
 GreaseReport grease_report(const ClientDataset& ds) {
   GreaseReport report;
-  for (const ParsedEvent& e : ds.events()) {
-    if (tls::has_grease_ciphersuite(e.hello)) {
-      report.suite_devices.insert(e.device_id);
-      report.suite_vendors.insert(e.vendor);
-    }
-    if (tls::has_grease_extension(e.hello)) {
-      report.extension_devices.insert(e.device_id);
-      report.extension_vendors.insert(e.vendor);
-    }
-  }
+  devices_where(
+      ds, [](const ParsedEvent& e, const tls::Fingerprint&) { return e.grease_suite; },
+      report.suite_devices, report.suite_vendors);
+  devices_where(
+      ds, [](const ParsedEvent& e, const tls::Fingerprint&) { return e.grease_extension; },
+      report.extension_devices, report.extension_vendors);
   for (const std::string& device : report.extension_devices) {
     if (report.suite_devices.count(device) == 0)
       report.extension_only_devices.insert(device);

@@ -13,6 +13,10 @@
 
 namespace iotls::core {
 
+/// Unique {device, ciphersuite list} tuples, keyed "device|s1,s2,...," (the
+/// order rows come out in), each with its first event.
+std::map<std::string, const ParsedEvent*> device_list_tuples(const ClientDataset& ds);
+
 /// Table 12: proposals per TLS version (unique {device, fingerprint} pairs).
 struct VersionReport {
   std::map<std::uint16_t, std::size_t> proposals;  // version code -> count

@@ -1134,9 +1134,10 @@ TextReport ext_strict_client(StreamIngest& ingest, const devicesim::FleetDataset
 
   std::size_t connections = 0, refused = 0;
   std::map<std::string, std::size_t> refused_reason;
-  std::set<std::string> affected_devices, affected_vendors;
+  std::set<std::uint32_t> affected_devices, affected_vendors;
+  const core::DatasetIndex& ix = ingest.client().index();
   for (const core::ParsedEvent& e : ingest.client().events()) {
-    auto it = by_sni.find(e.sni);
+    auto it = by_sni.find(ix.snis().str(e.sni));
     if (it == by_sni.end()) continue;  // server dark by probe time
     ++connections;
     const auto& v = *it->second;
@@ -1151,7 +1152,7 @@ TextReport ext_strict_client(StreamIngest& ingest, const devicesim::FleetDataset
     if (reason.empty()) continue;
     ++refused;
     ++refused_reason[reason];
-    affected_devices.insert(e.device_id);
+    affected_devices.insert(e.device);
     affected_vendors.insert(e.vendor);
   }
 

@@ -92,19 +92,19 @@ SnapshotSource::SnapshotSource(fleetio::SnapshotReader reader,
 SnapshotSource SnapshotSource::with_epochs(fleetio::SnapshotReader reader,
                                            std::size_t epochs, int jobs) {
   std::uint64_t n = reader.event_count();
-  std::uint64_t e = std::clamp<std::uint64_t>(epochs, 1,
-                                              std::max<std::uint64_t>(n, 1));
-  // Ceiling division so exactly `e` epochs come out (the last one short).
-  return SnapshotSource(std::move(reader), (n + e - 1) / e, jobs);
+  std::uint64_t e = std::clamp<std::uint64_t>(epochs, 1, std::max<std::uint64_t>(n, 1));
+  SnapshotSource source(std::move(reader), n / e, jobs);
+  source.epochs_ = e;
+  return source;
 }
 
 std::optional<EventBatch> SnapshotSource::next_epoch() {
   std::uint64_t n = reader_.event_count();
-  if (drained_ || next_ >= n) {
-    drained_ = true;
-    return std::nullopt;
-  }
-  std::uint64_t end = std::min(n, next_ + chunk_);
+  if (next_ >= n) return std::nullopt;
+  // With an epoch count the final epoch absorbs the remainder, as in
+  // ReplaySource.
+  ++emitted_;
+  std::uint64_t end = emitted_ == epochs_ ? n : std::min(n, next_ + chunk_);
   EventBatch batch;
   batch.events = reader_.events(next_, end, jobs_);
   next_ = end;

@@ -85,8 +85,7 @@ class TailSource final : public EventSource {
 };
 
 /// Replays a snapshot container in `chunk_events`-sized epochs (the final
-/// epoch absorbs the remainder; `epochs_hint` instead slices the event
-/// range into that many epochs when nonzero, mirroring ReplaySource).
+/// one short), or with_epochs() into exactly the slices ReplaySource cuts.
 /// Events are materialized per epoch from the mapped columns — the full
 /// event vector never exists in memory. `jobs` parallelizes each epoch's
 /// materialization; the emitted stream is identical at every jobs level.
@@ -98,7 +97,9 @@ class SnapshotSource final : public EventSource {
                           std::uint64_t chunk_events = kDefaultChunkEvents,
                           int jobs = 1);
 
-  /// Epoch-count flavour: slice the snapshot into `epochs` even epochs.
+  /// Epoch-count flavour: `epochs` (clamped to [1, events]) slices of
+  /// events/epochs each, the final one absorbing the remainder: the epochs
+  /// ReplaySource(events, epochs) emits.
   static SnapshotSource with_epochs(fleetio::SnapshotReader reader,
                                     std::size_t epochs, int jobs = 1);
 
@@ -110,8 +111,9 @@ class SnapshotSource final : public EventSource {
   fleetio::SnapshotReader reader_;
   std::uint64_t chunk_;
   int jobs_;
+  std::uint64_t epochs_ = 0;   // with_epochs' count; 0 = fixed chunks
+  std::uint64_t emitted_ = 0;  // epochs emitted so far
   std::uint64_t next_ = 0;
-  bool drained_ = false;
 };
 
 }  // namespace iotls::stream

@@ -3,7 +3,7 @@
 //
 // Each analysis is restated here exactly as the seed implemented it —
 // string-keyed maps over `records()` and per-SNI member sets
-// built from the parsed events, re-hashing fingerprints per use, uncached
+// built from the raw fleet, re-hashing fingerprints per use, uncached
 // signature verification — and
 // both sides are serialized to canonical JSON (obs::Json preserves member
 // order) and compared as dump() strings at --jobs 1 and --jobs 8, with and
@@ -30,6 +30,7 @@
 #include "net/prober.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "seed_events.hpp"
 #include "util/dates.hpp"
 #include "util/strings.hpp"
 #include "x509/validation.hpp"
@@ -49,11 +50,11 @@ struct RefLeaf {
   std::set<std::string> servers, ips;
 };
 
-/// SNI -> members, built from the parsed events: the seed's per-SNI string
-/// sets, independent of both indexes.
-std::map<std::string, SniMembers> seed_members(const ClientDataset& client) {
+/// SNI -> members, built from the raw fleet's kept events: the seed's
+/// per-SNI string sets, independent of the dataset and both indexes.
+std::map<std::string, SniMembers> seed_members(const devicesim::FleetDataset& fleet) {
   std::map<std::string, SniMembers> out;
-  for (const ParsedEvent& e : client.events()) {
+  for (const SeedEvent& e : seed_events(fleet)) {
     SniMembers& m = out[e.sni];
     m.devices.insert(e.device_id);
     m.vendors.insert(e.vendor);
@@ -69,7 +70,7 @@ struct Fixture {
   ClientDataset client = ClientDataset::from_fleet(fleet);
   devicesim::SimWorld world = devicesim::build_world(universe);
   CertDataset certs = CertDataset::collect(client, world);
-  std::map<std::string, SniMembers> members = seed_members(client);
+  std::map<std::string, SniMembers> members = seed_members(fleet);
   std::int64_t probe_day = days(2022, 4, 15);
 };
 
@@ -744,6 +745,16 @@ RefCtReport ref_ct_report(const CertDataset& certs, const Members& members,
 
 TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
+  // The members below come from the raw fleet; so do the retained events.
+  const std::vector<SeedEvent> seed = seed_events(f.fleet);
+  expect_events_match(f.client, seed);
+  // The default fleet exercises both GREASE bits, set and clear.
+  for (bool SeedEvent::*bit : {&SeedEvent::grease_suite, &SeedEvent::grease_extension}) {
+    const auto set = std::count_if(seed.begin(), seed.end(),
+                                   [&](const SeedEvent& e) { return e.*bit; });
+    EXPECT_GT(set, 0);
+    EXPECT_LT(set, static_cast<std::ptrdiff_t>(seed.size()));
+  }
   RefDataset ref = ref_collect(f.members, f.world, 1);
   std::string want = dataset_json(ref.records, ref.members, ref.leaves,
                                   ref.extracted, ref.reachable)

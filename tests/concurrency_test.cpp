@@ -238,12 +238,7 @@ TEST(ParallelAnalysis, DatasetAndCorpusMatchEqualSequential) {
   auto seq = core::ClientDataset::from_fleet(fleet, {}, 1);
   auto par = core::ClientDataset::from_fleet(fleet, {}, 8);
 
-  ASSERT_EQ(par.events().size(), seq.events().size());
-  for (std::size_t i = 0; i < seq.events().size(); ++i) {
-    EXPECT_EQ(par.events()[i].device_id, seq.events()[i].device_id);
-    EXPECT_EQ(par.events()[i].fp_key, seq.events()[i].fp_key);
-    EXPECT_EQ(par.events()[i].sni, seq.events()[i].sni);
-  }
+  EXPECT_EQ(par.events(), seq.events());
   EXPECT_EQ(par.drop_counts().total(), seq.drop_counts().total());
   // Index content, with ids resolved to strings.
   const core::DatasetIndex& p = par.index();

@@ -109,23 +109,7 @@ void expect_same_dataset(const ClientDataset& got, const ClientDataset& want,
   }
   ASSERT_EQ(got.events().size(), want.events().size());
   for (std::size_t i = 0; i < got.events().size(); ++i) {
-    const ParsedEvent& x = got.events()[i];
-    const ParsedEvent& y = want.events()[i];
-    ASSERT_EQ(x.device_id, y.device_id) << i;
-    ASSERT_EQ(x.vendor, y.vendor) << i;
-    ASSERT_EQ(x.type, y.type) << i;
-    ASSERT_EQ(x.user, y.user) << i;
-    ASSERT_EQ(x.day, y.day) << i;
-    ASSERT_EQ(x.sni, y.sni) << i;
-    ASSERT_EQ(x.hello, y.hello) << i;
-    ASSERT_EQ(x.fp, y.fp) << i;
-    ASSERT_EQ(x.fp_key, y.fp_key) << i;
-    ASSERT_EQ(x.device_ix, y.device_ix) << i;
-    ASSERT_EQ(x.vendor_ix, y.vendor_ix) << i;
-    ASSERT_EQ(x.type_ix, y.type_ix) << i;
-    ASSERT_EQ(x.user_ix, y.user_ix) << i;
-    ASSERT_EQ(x.sni_ix, y.sni_ix) << i;
-    ASSERT_EQ(x.fp_ix, y.fp_ix) << i;
+    ASSERT_EQ(got.events()[i], want.events()[i]) << i;
   }
 }
 
@@ -353,7 +337,8 @@ TEST(FoldIdentity, EveryEventOfAnUndecodableWireIsDropped) {
   EXPECT_EQ(ds.drop_counts().no_client_hello, 3u);
   EXPECT_EQ(ds.drop_counts().unknown_device, 2u);
   ASSERT_EQ(ds.events().size(), 1u);
-  EXPECT_EQ(ds.events()[0].sni, "x");  // SNI-less hello: the event's own sni
+  // SNI-less hello: the event's own sni
+  EXPECT_EQ(ds.index().snis().str(ds.events()[0].sni), "x");
 }
 
 TEST(FoldIdentity, SniLessHelloTakesEachEventsOwnSni) {
@@ -382,9 +367,10 @@ TEST(FoldIdentity, RepeatedDeviceIdResolvesToItsFirstRow) {
   // The same row FleetDataset::find_device resolves.
   ASSERT_NE(fleet.find_device("a"), nullptr);
   EXPECT_EQ(fleet.find_device("a")->vendor, "First");
-  EXPECT_EQ(ds.events()[0].vendor, "First");
-  EXPECT_EQ(ds.events()[0].type, "T1");
-  EXPECT_EQ(ds.events()[0].user, "u1");
+  const DatasetIndex& ix = ds.index();
+  EXPECT_EQ(ix.vendors().str(ds.events()[0].vendor), "First");
+  EXPECT_EQ(ix.types().str(ds.events()[0].type), "T1");
+  EXPECT_EQ(ix.users().str(ds.events()[0].user), "u1");
   EXPECT_EQ(ds.index().vendors().str(ds.index().device_vendor(0)), "First");
 }
 
@@ -411,12 +397,14 @@ TEST(FoldIdentity, ChangedDeviceTableIsNoticed) {
   ds.append_events({{"d", 18000, "x", hello_wire(4, "s.example", 0)}}, grown);
   ds.finalize();
   ASSERT_EQ(ds.events().size(), 4u);
-  EXPECT_EQ(ds.events()[1].device_id, "c");
-  EXPECT_EQ(ds.events()[1].vendor, "V2");
-  EXPECT_EQ(ds.events()[2].device_id, "a");
-  EXPECT_EQ(ds.events()[2].vendor, "V2");
-  EXPECT_EQ(ds.events()[3].device_id, "d");
-  EXPECT_EQ(ds.events()[3].vendor, "V4");
+  const DatasetIndex& ix = ds.index();
+  auto names = [&](std::size_t i) {
+    const ParsedEvent& e = ds.events()[i];
+    return ix.devices().str(e.device) + "/" + ix.vendors().str(e.vendor);
+  };
+  EXPECT_EQ(names(1), "c/V2");
+  EXPECT_EQ(names(2), "a/V2");
+  EXPECT_EQ(names(3), "d/V4");
   EXPECT_EQ(ds.drop_counts().unknown_device, 1u);
   // The device's vendor follows its latest row, as the per-event fold did.
   std::uint32_t a = ds.index().devices().find("a");

@@ -286,8 +286,10 @@ TEST(GoldenPaper, DeclaredInputsSuffice) {
 
 TEST(GoldenPaper, EveryEntryJobs8) {
   for (const std::string& name : stream::text_report_names()) {
-    expect_text_golden(
-        name, *stream::render_text_report(name, default_ingest(8), &default_fleet()));
+    SCOPED_TRACE("entry " + name);
+    auto out = stream::render_text_report(name, default_ingest(8), &default_fleet());
+    ASSERT_TRUE(out.has_value());
+    expect_text_golden(name, *out);
   }
 }
 

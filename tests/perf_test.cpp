@@ -5,7 +5,7 @@
 //
 // Property: the DatasetIndex-backed analyses reproduce the seed string-map
 // algorithms byte for byte. The seed implementations are re-stated here over
-// the seed's string maps, rebuilt from the parsed events; both sides are
+// the seed's string maps, rebuilt from the raw fleet; both sides are
 // serialized to canonical JSON and compared as strings, at jobs=1 and jobs=8.
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "core/vendor_metrics.hpp"
 #include "corpus/corpus.hpp"
 #include "obs/json.hpp"
+#include "seed_events.hpp"
 #include "tls/ciphersuite.hpp"
 #include "tls/record.hpp"
 #include "util/dates.hpp"
@@ -167,16 +168,16 @@ devicesim::FleetDataset example_fleet() {
 
 using StringSets = std::map<std::string, std::set<std::string>>;
 
-/// The seed's string-keyed maps, built from the parsed events the way the
-/// seed built them, independent of the DatasetIndex.
+/// The seed's string-keyed maps, built from the raw fleet's kept events the
+/// way the seed built them, independent of the dataset and its index.
 struct SeedMaps {
   std::map<std::string, tls::Fingerprint> fingerprints;  // by key
   StringSets fp_vendors, fp_devices, fp_snis, vendor_fps, device_fps;
   StringSets sni_devices, sni_vendors, sni_fps, sni_users;
   std::map<std::string, std::string> device_vendor, device_type;
 
-  explicit SeedMaps(const ClientDataset& ds) {
-    for (const ParsedEvent& e : ds.events()) {
+  explicit SeedMaps(const devicesim::FleetDataset& fleet) {
+    for (const SeedEvent& e : seed_events(fleet)) {
       fingerprints.emplace(e.fp_key, e.fp);
       fp_vendors[e.fp_key].insert(e.vendor);
       fp_devices[e.fp_key].insert(e.device_id);
@@ -446,8 +447,10 @@ std::string analysis_bundle(const ClientDataset& ds,
 // ------------------------------------------------------------ properties
 
 TEST(PerfProperty, IndexRelationsMatchSeedStringMaps) {
-  ClientDataset ds = ClientDataset::from_fleet(example_fleet());
-  const SeedMaps seed(ds);
+  devicesim::FleetDataset fleet = example_fleet();
+  ClientDataset ds = ClientDataset::from_fleet(fleet);
+  expect_events_match(ds, seed_events(fleet));
+  const SeedMaps seed(fleet);
   const DatasetIndex& ix = ds.index();
   EXPECT_EQ(resolved(ix.fps(), ix.vendors(), ix.fp_vendors()), seed.fp_vendors);
   EXPECT_EQ(resolved(ix.fps(), ix.devices(), ix.fp_devices()), seed.fp_devices);
@@ -476,7 +479,7 @@ TEST(PerfProperty, IndexRelationsMatchSeedStringMaps) {
 TEST(PerfProperty, IndexedAnalysesMatchSeedStringMapAlgorithms) {
   devicesim::FleetDataset fleet = example_fleet();
   ClientDataset ds = ClientDataset::from_fleet(fleet);
-  const SeedMaps seed(ds);
+  const SeedMaps seed(fleet);
   corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
 
   EXPECT_EQ(sims_json(vendor_similarities(ds, 0.0)).dump(),
@@ -513,7 +516,7 @@ TEST(PerfProperty, ParallelBuildByteIdenticalAnalyses) {
   corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
   ClientDataset ds1 = ClientDataset::from_fleet(fleet, {}, 1);
   ClientDataset ds8 = ClientDataset::from_fleet(fleet, {}, 8);
-  ASSERT_EQ(ds1.events().size(), ds8.events().size());
+  EXPECT_EQ(ds1.events(), ds8.events());
   // Interned ids must line up too, not just the string views.
   ASSERT_EQ(ds1.index().fps().size(), ds8.index().fps().size());
   for (std::uint32_t f = 0; f < ds1.index().fps().size(); ++f) {

@@ -14,6 +14,7 @@
 #include "devicesim/export.hpp"
 #include "devicesim/fleet.hpp"
 #include "devicesim/scenario.hpp"
+#include "fleetio/snapshot.hpp"
 #include "net/fault.hpp"
 #include "obs/http_server.hpp"
 #include "obs/json.hpp"
@@ -134,6 +135,25 @@ TEST(ReplaySourceTest, PartitionsEventsIntoContiguousSlices) {
     EXPECT_EQ(seen[i].device_id, events[i].device_id) << "order changed";
   }
   EXPECT_FALSE(source.next_epoch().has_value()) << "drained source yielded";
+
+  // A snapshot of the same events sliced by epoch count cuts the same
+  // epochs, so iotlsd --snapshot --epochs=K replays what the CSV path does.
+  devicesim::FleetDataset fleet;
+  fleet.events = events;
+  auto slices = [](EventSource& from) {
+    std::vector<std::vector<std::string>> out;
+    while (auto batch = from.next_epoch()) {
+      std::vector<std::string>& ids = out.emplace_back();
+      for (const devicesim::ClientHelloEvent& e : batch->events) ids.push_back(e.device_id);
+    }
+    return out;
+  };
+  for (std::size_t epochs = 0; epochs <= events.size() + 1; ++epochs) {
+    ReplaySource replay(events, epochs);
+    SnapshotSource snapshot = SnapshotSource::with_epochs(
+        fleetio::SnapshotReader::from_bytes(fleetio::encode_snapshot(fleet)), epochs);
+    EXPECT_EQ(slices(snapshot), slices(replay)) << epochs << " epochs";
+  }
 }
 
 TEST(ReplaySourceTest, EpochCountIsClampedToEventCount) {

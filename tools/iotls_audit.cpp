@@ -73,10 +73,7 @@
 #include "devicesim/scenario.hpp"
 #include "fleetio/snapshot.hpp"
 #include "net/fault.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "obs_cli.hpp"
-#include "report/obs_report.hpp"
 #include "stream/ingest.hpp"
 #include "stream/reports.hpp"
 #include "stream/source.hpp"
@@ -88,8 +85,6 @@
 using namespace iotls;
 
 namespace {
-
-enum class StatsMode { kOff, kText, kJson };
 
 constexpr const char* kUsage =
     "usage: iotls_audit [--jobs=N] [--stats[=json]] [--certs]\n"
@@ -111,7 +106,6 @@ std::string slurp(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  StatsMode stats = StatsMode::kOff;
   int jobs = 1;
   bool certs_mode = false;
   net::FaultSpec fault;
@@ -125,8 +119,6 @@ int main(int argc, char** argv) {
     if (obs_cli.parse(argv[i], &bad)) {
       if (bad) return 2;
     }
-    else if (std::strcmp(argv[i], "--stats") == 0) stats = StatsMode::kText;
-    else if (std::strcmp(argv[i], "--stats=json") == 0) stats = StatsMode::kJson;
     else if (std::strcmp(argv[i], "--certs") == 0) certs_mode = true;
     else if (std::strncmp(argv[i], "--report=", 9) == 0) report_name = argv[i] + 9;
     else if (std::strncmp(argv[i], "--snapshot=", 11) == 0)
@@ -207,13 +199,7 @@ int main(int argc, char** argv) {
   // Flush the output, then the stats (on stderr) and the export plane.
   auto finish = [&] {
     std::fflush(stdout);
-    if (stats == StatsMode::kText) {
-      std::fprintf(stderr, "\n%s",
-                   report::stats_text(obs::metrics(), obs::tracer()).c_str());
-    } else if (stats == StatsMode::kJson) {
-      std::fprintf(stderr, "%s\n",
-                   report::stats_json(obs::metrics(), obs::tracer()).c_str());
-    }
+    obs_cli.print_stats(stderr);
     obs_cli.finish();
     return 0;
   };

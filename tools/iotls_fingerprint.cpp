@@ -37,7 +37,6 @@
 #include "obs/trace.hpp"
 #include "obs_cli.hpp"
 #include "pcap/flow.hpp"
-#include "report/obs_report.hpp"
 #include "tls/ciphersuite.hpp"
 #include "tls/fingerprint.hpp"
 #include "util/error.hpp"
@@ -46,8 +45,6 @@
 using namespace iotls;
 
 namespace {
-
-enum class StatsMode { kOff, kText, kJson };
 
 void usage(std::FILE* out) {
   std::fprintf(out,
@@ -72,7 +69,6 @@ std::optional<tls::ClientHello> hello_from_wire(BytesView wire) {
 
 int main(int argc, char** argv) {
   bool csv = false, match = false;
-  StatsMode stats = StatsMode::kOff;
   std::string snapshot_path;
   tools::ObsCli obs_cli;
   std::vector<std::string> paths;
@@ -83,8 +79,6 @@ int main(int argc, char** argv) {
     }
     else if (std::strcmp(argv[i], "--csv") == 0) csv = true;
     else if (std::strcmp(argv[i], "--match") == 0) match = true;
-    else if (std::strcmp(argv[i], "--stats") == 0) stats = StatsMode::kText;
-    else if (std::strcmp(argv[i], "--stats=json") == 0) stats = StatsMode::kJson;
     else if (std::strncmp(argv[i], "--snapshot=", 11) == 0)
       snapshot_path = argv[i] + 11;
     else if (argv[i][0] == '-') {
@@ -190,13 +184,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (stats == StatsMode::kText) {
-    std::fprintf(stderr, "\n%s",
-                 report::stats_text(obs::metrics(), obs::tracer()).c_str());
-  } else if (stats == StatsMode::kJson) {
-    std::fprintf(stderr, "%s\n",
-                 report::stats_json(obs::metrics(), obs::tracer()).c_str());
-  }
+  obs_cli.print_stats(stderr);
   std::fflush(stdout);
   obs_cli.finish();
   return exit_code;

@@ -56,9 +56,7 @@
 #include "net/fault.hpp"
 #include "net/prober.hpp"
 #include "net/stack_fingerprint.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "report/obs_report.hpp"
 #include "obs_cli.hpp"
 #include "util/dates.hpp"
 #include "util/error.hpp"
@@ -67,8 +65,6 @@
 using namespace iotls;
 
 namespace {
-
-enum class StatsMode { kOff, kText, kJson };
 
 void usage(std::FILE* out) {
   std::fprintf(out,
@@ -102,7 +98,6 @@ bool has_prefix(const char* arg, const char* prefix) {
 
 int main(int argc, char** argv) {
   bool all = false;
-  StatsMode stats = StatsMode::kOff;
   net::RetryPolicy retry;
   net::BreakerConfig breaker;
   net::FaultSpec fault_spec;
@@ -124,8 +119,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (std::strcmp(argv[i], "--stats") == 0) stats = StatsMode::kText;
-    else if (std::strcmp(argv[i], "--stats=json") == 0) stats = StatsMode::kJson;
     else if (has_prefix(argv[i], "--retries=")) {
       int retries = 0;
       if (!tools::parse_int_flag("--retries=", argv[i] + 10, tools::kMaxRetries,
@@ -203,7 +196,8 @@ int main(int argc, char** argv) {
     internet = injector.get();
   }
   const std::int64_t today = kProbeDay;
-  const bool quiet = stats == StatsMode::kJson;  // stdout carries JSON only
+  // stdout carries JSON only
+  const bool quiet = obs_cli.stats == tools::ObsCli::Stats::kJson;
 
   if (all) {
     for (const devicesim::ServerSpec& spec : universe.specs()) {
@@ -281,11 +275,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(fs.connects));
       }
     }
-    if (stats == StatsMode::kText) {
-      std::printf("\n%s", report::stats_text(obs::metrics(), obs::tracer()).c_str());
-    } else if (stats == StatsMode::kJson) {
-      std::printf("%s\n", report::stats_json(obs::metrics(), obs::tracer()).c_str());
-    }
+    obs_cli.print_stats(stdout);
     std::fflush(stdout);
     obs_cli.finish();
     return 0;
@@ -380,11 +370,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (stats == StatsMode::kText) {
-    std::printf("\n%s", report::stats_text(obs::metrics(), obs::tracer()).c_str());
-  } else if (stats == StatsMode::kJson) {
-    std::printf("%s\n", report::stats_json(obs::metrics(), obs::tracer()).c_str());
-  }
+  obs_cli.print_stats(stdout);
   // Flush before lingering so a supervisor that scrapes-then-quits sees the
   // stats document even when stdout is a pipe.
   std::fflush(stdout);

@@ -1,6 +1,10 @@
 // Shared observability CLI surface for the iotls_* tools.
 //
-// Every tool accepts the same three flags:
+// Every tool accepts the same four flags:
+//   --stats[=json]      print stage timings and the metric registry after
+//                       the work (as one JSON document with =json), on the
+//                       stream the tool names: stderr where stdout carries
+//                       the tool's data, stdout for iotls_probe
 //   --serve=PORT        start the embedded export plane on 127.0.0.1:PORT
 //                       (0 = ephemeral; the chosen port is printed to stderr
 //                       as "obs: serving on 127.0.0.1:PORT" so scripts can
@@ -31,7 +35,9 @@
 #include <string>
 
 #include "obs/export_plane.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "report/obs_report.hpp"
 
 namespace iotls::tools {
 
@@ -63,6 +69,8 @@ inline bool parse_int_flag(const char* flag, const char* value,
 }
 
 struct ObsCli {
+  enum class Stats { kOff, kText, kJson };
+  Stats stats = Stats::kOff;
   bool serve = false;
   std::uint16_t port = 0;
   bool linger = false;
@@ -75,6 +83,14 @@ struct ObsCli {
   /// (with a message on stderr) when the flag was ours but malformed.
   bool parse(const char* arg, bool* bad) {
     *bad = false;
+    if (std::strcmp(arg, "--stats") == 0) {
+      stats = Stats::kText;
+      return true;
+    }
+    if (std::strcmp(arg, "--stats=json") == 0) {
+      stats = Stats::kJson;
+      return true;
+    }
     if (std::strncmp(arg, "--serve=", 8) == 0) {
       char* end = nullptr;
       unsigned long long n = std::strtoull(arg + 8, &end, 10);
@@ -133,6 +149,19 @@ struct ObsCli {
                    static_cast<unsigned>(plane->port()));
     }
     return true;
+  }
+
+  /// Write the --stats report, if asked for, to `out`. Stdout is flushed
+  /// first, so the report follows the tool's output even when both
+  /// streams go to one file.
+  void print_stats(std::FILE* out) const {
+    if (stats == Stats::kOff) return;
+    std::fflush(stdout);
+    if (stats == Stats::kText) {
+      std::fprintf(out, "\n%s", report::stats_text(obs::metrics(), obs::tracer()).c_str());
+    } else {
+      std::fprintf(out, "%s\n", report::stats_json(obs::metrics(), obs::tracer()).c_str());
+    }
   }
 
   /// Linger (if asked), stop the server, and write the trace file.
